@@ -43,14 +43,7 @@ from .geometry import (
     delta_from_poses,
 )
 from .layout import TagLayout, default_layout
-from .pnp import (
-    Correspondence,
-    CorrespondenceSet,
-    PoseEstimate,
-    SolverConfig,
-    estimate_pose,
-    refine_lm,
-)
+from .pnp import CorrespondenceSet, PoseEstimate, estimate_pose
 from .sensitivity import DetectionParams, analyze
 from .simulator import (
     NoiseModel,
@@ -84,9 +77,17 @@ def _dump_jsonl(path: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _load_jsonl(path: Path) -> list[dict]:
+def _load_jsonl(path: Path) -> list[tuple[int, dict]]:
+    """(line number, parsed value) for each non-blank line of a JSONL file."""
+    rows = []
     with path.open("r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    rows.append((lineno, json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise ValidationFailure(f"{path} line {lineno}: invalid JSON: {exc}") from exc
+    return rows
 
 
 def _digest(path: Path) -> str:
@@ -121,27 +122,38 @@ def _corrs_to_row(frame: int, timestamp: float, corrs: CorrespondenceSet) -> dic
         "frame": frame,
         "timestamp_s": timestamp,
         "entries": [
-            {
-                "tag_id": e.tag_id,
-                "corner": e.corner_index,
-                "ref_mm": list(e.point_ref),
-                "img_px": list(e.point_img),
-            }
-            for e in corrs.entries
+            {"tag_id": tag_id, "corner": corner, "ref_mm": ref, "img_px": img}
+            for tag_id, corner, ref, img in zip(
+                corrs.tag_ids.tolist(), corrs.corner_idx.tolist(),
+                corrs.ref.tolist(), corrs.img.tolist(),
+            )
         ],
     }
 
 
 def _corrs_from_row(row: dict) -> CorrespondenceSet:
-    return CorrespondenceSet(entries=tuple(
-        Correspondence(
-            tag_id=int(e["tag_id"]),
-            corner_index=int(e["corner"]),
-            point_ref=tuple(float(v) for v in e["ref_mm"]),
-            point_img=tuple(float(v) for v in e["img_px"]),
-        )
-        for e in row["entries"]
-    ))
+    entries = row["entries"]
+    n = len(entries)
+    # reshape gives an empty frame its (0, 3) / (0, 2) shape.
+    return CorrespondenceSet(
+        tag_ids=np.array([e["tag_id"] for e in entries], dtype=np.int64),
+        corner_idx=np.array([e["corner"] for e in entries], dtype=np.int64),
+        ref=np.array([e["ref_mm"] for e in entries], dtype=np.float64).reshape(n, 3),
+        img=np.array([e["img_px"] for e in entries], dtype=np.float64).reshape(n, 2),
+    )
+
+
+def _load_frames(path: Path) -> list[tuple[int, CorrespondenceSet]]:
+    """(frame id, correspondences) per row of a correspondences JSONL; a
+    malformed row raises ValidationFailure naming the file and line."""
+    frames = []
+    for lineno, row in _load_jsonl(path):
+        try:
+            frames.append((row["frame"], _corrs_from_row(row)))
+        except (KeyError, TypeError, ValueError, OverflowError, ValidationFailure) as exc:
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ValidationFailure(f"{path} line {lineno}: bad frame row: {detail}") from exc
+    return frames
 
 
 def _write_sweep_csv(path: Path, rows: list[tuple[int, float, Wrench, DeformationVector]]) -> None:
@@ -237,25 +249,14 @@ def _cmd_simulate(args) -> int:
 
 # -------------------------------------------------------------- estimate
 
-def _estimate_rows(camera, rows, config: SolverConfig, warm_start: bool,
-                   allow_single_tag: bool):
-    previous = None
-    for row in rows:
-        corrs = _corrs_from_row(row)
-        if warm_start and previous is not None:
-            estimate = refine_lm(camera, corrs, previous, config)
-        else:
-            estimate = estimate_pose(camera, corrs, config, allow_single_tag=allow_single_tag)
-        previous = estimate.pose
-        yield row["frame"], estimate
-
-
 def _cmd_estimate(args) -> int:
     camera = _load_camera(args.camera)
-    rows = _load_jsonl(Path(args.frames))
     out_rows = []
-    for frame, estimate in _estimate_rows(camera, rows, SolverConfig(), args.warm_start,
-                                          args.allow_single_tag):
+    previous = None
+    for frame, corrs in _load_frames(Path(args.frames)):
+        estimate = estimate_pose(camera, corrs, allow_single_tag=args.allow_single_tag,
+                                 init=previous if args.warm_start else None)
+        previous = estimate.pose
         out_rows.append({"frame": frame, **estimate.to_dict()})
     _dump_jsonl(Path(args.out), out_rows)
     _info(args, f"estimated {len(out_rows)} poses to {args.out}")
@@ -337,7 +338,7 @@ def _cmd_monitor(args) -> int:
         config = ContactConfig(threshold_mm=args.threshold, total_frames=args.frames_count,
                                debounce_frames=args.debounce)
 
-    rows = _load_jsonl(Path(args.poses))
+    rows = [row for _, row in _load_jsonl(Path(args.poses))]
     poses = [
         PoseEstimate(
             pose=RigidTransform.from_dict(r["pose"]),

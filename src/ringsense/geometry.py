@@ -113,9 +113,11 @@ class PinholeCamera:
         if not (0 <= self.cx <= self.image_width and 0 <= self.cy <= self.image_height):
             raise ValidationFailure("principal point must lie inside the image")
 
-    def contains(self, uv: np.ndarray) -> bool:
-        u, v = float(uv[0]), float(uv[1])
-        return 0.0 <= u <= self.image_width and 0.0 <= v <= self.image_height
+    def contains(self, uv: np.ndarray) -> np.ndarray:
+        """Whether pixel(s) ``uv`` of shape (2,) or (n, 2) lie in the image, edges included."""
+        uv = np.asarray(uv, dtype=np.float64)
+        u, v = uv[..., 0], uv[..., 1]
+        return (0.0 <= u) & (u <= self.image_width) & (0.0 <= v) & (v <= self.image_height)
 
     def to_dict(self) -> dict:
         return {
@@ -235,29 +237,30 @@ class NormalMatrix6:
         )
 
 
+def _pinhole(camera: PinholeCamera, pts: np.ndarray) -> np.ndarray:
+    """Pinhole projection of (n, 3) camera-frame points with z > 0 to (n, 2) pixels."""
+    z = pts[:, 2]
+    uv = np.empty((pts.shape[0], 2))
+    uv[:, 0] = camera.fx * pts[:, 0] / z + camera.cx
+    uv[:, 1] = camera.fy * pts[:, 1] / z + camera.cy
+    return uv
+
+
 def project(camera: PinholeCamera, point_cam: np.ndarray) -> np.ndarray:
     """Project one camera-frame point (mm) to pixel coordinates.
 
     Raises:
         NonPositiveDepth: if the point is at or behind the camera (z <= 0).
     """
-    p = np.asarray(point_cam, dtype=np.float64)
-    z = p[2]
-    if z <= 0:
-        raise NonPositiveDepth(f"point depth must be positive, got z={z}")
-    return np.array([camera.fx * p[0] / z + camera.cx, camera.fy * p[1] / z + camera.cy])
+    return project_points(camera, np.asarray(point_cam, dtype=np.float64).reshape(1, 3))[0]
 
 
 def project_points(camera: PinholeCamera, points_cam: np.ndarray) -> np.ndarray:
     """Vectorized projection of (n, 3) camera-frame points to (n, 2) pixels."""
     p = np.asarray(points_cam, dtype=np.float64)
-    z = p[:, 2]
-    if np.any(z <= 0):
+    if np.any(p[:, 2] <= 0):
         raise NonPositiveDepth("all point depths must be positive")
-    uv = np.empty((p.shape[0], 2))
-    uv[:, 0] = camera.fx * p[:, 0] / z + camera.cx
-    uv[:, 1] = camera.fy * p[:, 1] / z + camera.cy
-    return uv
+    return _pinhole(camera, p)
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:

@@ -26,7 +26,7 @@ input with association errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,55 +37,62 @@ from .errors import (
     TooFewTagsVisible,
     ValidationFailure,
 )
-from .geometry import PinholeCamera, RigidTransform
+from .geometry import PinholeCamera, RigidTransform, _pinhole
 
 _PLANAR_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """One matched corner: plate-frame 3D point and its image observation."""
-
-    tag_id: int
-    corner_index: int
-    point_ref: tuple[float, float, float]
-    point_img: tuple[float, float]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrespondenceSet:
-    """All matched corners of one frame.
+    """All matched corners of one frame, as four aligned read-only arrays.
 
-    Structural invariants (no duplicate (tag_id, corner) pairs, finite
-    coordinates) are enforced here. Image-bound containment is the
-    producer's contract (see the simulator); the solvers accept any finite
-    pixel coordinates.
+    Row ``i`` is corner ``corner_idx[i]`` of tag ``tag_ids[i]``, at plate-frame
+    point ``ref[i]`` (mm) and observed at pixel ``img[i]``; shapes (n,),
+    (n,), (n, 3) and (n, 2). Structural invariants (agreeing shapes, no
+    duplicate (tag_id, corner) pairs, corner index 0..3, finite coordinates)
+    are enforced here. Image-bound containment is the producer's contract
+    (see the simulator); the solvers accept any finite pixel coordinates.
     """
 
-    entries: tuple[Correspondence, ...]
+    tag_ids: np.ndarray
+    corner_idx: np.ndarray
+    ref: np.ndarray
+    img: np.ndarray
 
     def __post_init__(self) -> None:
-        keys = [(e.tag_id, e.corner_index) for e in self.entries]
-        if len(keys) != len(set(keys)):
+        tag_ids = np.array(self.tag_ids, dtype=np.int64)
+        corner_idx = np.array(self.corner_idx, dtype=np.int64)
+        ref = np.array(self.ref, dtype=np.float64)
+        img = np.array(self.img, dtype=np.float64)
+        n = tag_ids.shape[0] if tag_ids.ndim == 1 else -1
+        if (corner_idx.shape, ref.shape, img.shape) != ((n,), (n, 3), (n, 2)):
+            raise ValidationFailure(
+                "correspondence arrays must have shapes (n,), (n,), (n, 3), (n, 2); got "
+                f"{tag_ids.shape}, {corner_idx.shape}, {ref.shape}, {img.shape}"
+            )
+        order = np.lexsort((corner_idx, tag_ids))
+        if np.any((np.diff(tag_ids[order]) == 0) & (np.diff(corner_idx[order]) == 0)):
             raise ValidationFailure("duplicate (tag_id, corner_index) pair in correspondences")
-        for e in self.entries:
-            if not (0 <= e.corner_index <= 3):
-                raise ValidationFailure(f"corner_index must be 0..3, got {e.corner_index}")
-            if not np.all(np.isfinite(e.point_ref)) or not np.all(np.isfinite(e.point_img)):
-                raise ValidationFailure("correspondence coordinates must be finite")
+        bad = (corner_idx < 0) | (corner_idx > 3)
+        if np.any(bad):
+            raise ValidationFailure(f"corner_index must be 0..3, got {corner_idx[np.argmax(bad)]}")
+        if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(img))):
+            raise ValidationFailure("correspondence coordinates must be finite")
+        for f, a in zip(fields(self), (tag_ids, corner_idx, ref, img)):
+            a.setflags(write=False)
+            object.__setattr__(self, f.name, a)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CorrespondenceSet):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.tag_ids.shape[0]
 
     @property
     def tag_count(self) -> int:
-        return len({e.tag_id for e in self.entries})
-
-    def ref_points(self) -> np.ndarray:
-        return np.array([e.point_ref for e in self.entries])
-
-    def img_points(self) -> np.ndarray:
-        return np.array([e.point_img for e in self.entries])
+        return len(np.unique(self.tag_ids))
 
 
 @dataclass(frozen=True)
@@ -161,21 +168,13 @@ def _orthonormalize(r: np.ndarray) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def _project_raw(camera: PinholeCamera, pts_cam: np.ndarray) -> np.ndarray:
-    z = pts_cam[:, 2]
-    uv = np.empty((pts_cam.shape[0], 2))
-    uv[:, 0] = camera.fx * pts_cam[:, 0] / z + camera.cx
-    uv[:, 1] = camera.fy * pts_cam[:, 1] / z + camera.cy
-    return uv
-
-
 def _residuals(camera, rotation, translation, ref, img):
     """Stacked residual vector (projected - observed), or None if any point
     lands at non-positive depth."""
     pts_cam = ref @ rotation.T + translation
     if np.any(pts_cam[:, 2] <= 0):
         return None
-    return (_project_raw(camera, pts_cam) - img).ravel()
+    return (_pinhole(camera, pts_cam) - img).ravel()
 
 
 def _jacobian_block(camera, rotation, translation, ref):
@@ -231,8 +230,7 @@ def refine_lm(
     below ``step_tolerance``. Hitting ``max_iterations`` returns the best
     pose so far with ``converged=False`` rather than raising.
     """
-    ref = corrs.ref_points()
-    img = corrs.img_points()
+    ref, img = corrs.ref, corrs.img
     n = ref.shape[0]
     rotation = init.rotation.copy()
     translation = init.translation.copy()
@@ -295,8 +293,7 @@ def epnp_initialize(camera: PinholeCamera, corrs: CorrespondenceSet) -> RigidTra
         DegenerateConfiguration: fewer than 4 points, or collinear points.
         BehindCamera: no sign choice places the points at positive depth.
     """
-    ref = corrs.ref_points()
-    img = corrs.img_points()
+    ref, img = corrs.ref, corrs.img
     n = ref.shape[0]
     if n < 4:
         raise DegenerateConfiguration(f"need at least 4 points, got {n}")
@@ -372,12 +369,15 @@ def estimate_pose(
     corrs: CorrespondenceSet,
     config: SolverConfig = SolverConfig(),
     allow_single_tag: bool = False,
+    init: RigidTransform | None = None,
 ) -> PoseEstimate:
     """Full pipeline: EPnP initialization then LM refinement.
 
     Standard mode requires at least 2 tags (8 corners); pass
     ``allow_single_tag=True`` for the degraded 1-tag (4-corner) mode, which
-    is solvable but jitter-prone.
+    is solvable but jitter-prone. A given ``init`` pose (e.g. the previous
+    frame's estimate) replaces the EPnP initialization; the tag and corner
+    minimums apply either way.
     """
     min_tags = 1 if allow_single_tag else 2
     min_entries = 4 if allow_single_tag else 8
@@ -386,5 +386,6 @@ def estimate_pose(
             f"{corrs.tag_count} tag(s) / {len(corrs)} corner(s); standard mode "
             f"needs >= 2 tags and 8 corners"
         )
-    init = epnp_initialize(camera, corrs)
+    if init is None:
+        init = epnp_initialize(camera, corrs)
     return refine_lm(camera, corrs, init, config)

@@ -38,7 +38,7 @@ from .geometry import (
     project_points,
 )
 from .layout import TagLayout, corners_ref, visible_subset
-from .pnp import Correspondence, CorrespondenceSet
+from .pnp import CorrespondenceSet
 
 WRENCH_AXES = ("fx", "fy", "fz", "tx", "ty", "tz")
 
@@ -184,23 +184,20 @@ def project_layout(
     No noise, no occlusion, no bounds check; building block for the
     synthesizer and for closed-form test oracles.
     """
-    entries = []
+    refs, imgs = [], []
     for tag in layout.tags:
         corners = corners_ref(layout, tag.tag_id)
         cams = pose.apply(corners)
         if np.any(cams[:, 2] <= 0):
             raise CornerOutOfImage(f"tag {tag.tag_id} has corners behind the camera")
-        uv = project_points(camera, cams)
-        for k in range(4):
-            entries.append(
-                Correspondence(
-                    tag_id=tag.tag_id,
-                    corner_index=k,
-                    point_ref=tuple(float(x) for x in corners[k]),
-                    point_img=(float(uv[k, 0]), float(uv[k, 1])),
-                )
-            )
-    return CorrespondenceSet(entries=tuple(entries))
+        refs.append(corners)
+        imgs.append(project_points(camera, cams))
+    return CorrespondenceSet(
+        tag_ids=np.repeat([t.tag_id for t in layout.tags], 4),
+        corner_idx=np.tile(np.arange(4), len(layout.tags)),
+        ref=np.reshape(refs, (-1, 3)),
+        img=np.reshape(imgs, (-1, 2)),
+    )
 
 
 def synthesize_frame(
@@ -230,18 +227,17 @@ def synthesize_frame(
         visible = visible_subset(layout, mask)
 
     exact = project_layout(camera, layout=visible, pose=ground_truth)
-    img = exact.img_points()
+    img = exact.img
     if noise.corner_sigma > 0:
         img = img + rng.normal(0.0, noise.corner_sigma, size=img.shape)
-    entries = []
-    for e, uv in zip(exact.entries, img):
-        if not camera.contains(uv):
-            raise CornerOutOfImage(
-                f"tag {e.tag_id} corner {e.corner_index} at ({uv[0]:.1f}, {uv[1]:.1f}) "
-                f"is outside the {camera.image_width:.0f}x{camera.image_height:.0f} image"
-            )
-        entries.append(replace(e, point_img=(float(uv[0]), float(uv[1]))))
-    return CorrespondenceSet(entries=tuple(entries)), ground_truth
+    outside = ~camera.contains(img)
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        raise CornerOutOfImage(
+            f"tag {exact.tag_ids[k]} corner {exact.corner_idx[k]} at ({img[k, 0]:.1f}, {img[k, 1]:.1f}) "
+            f"is outside the {camera.image_width:.0f}x{camera.image_height:.0f} image"
+        )
+    return replace(exact, img=img), ground_truth
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from ringsense.geometry import (
     project,
 )
 from ringsense.layout import visible_subset
-from ringsense.pnp import CorrespondenceSet, estimate_pose, jacobian_reprojection
+from ringsense.pnp import estimate_pose, jacobian_reprojection
 from ringsense.pnp import _so3_exp
 from ringsense.sensitivity import DetectionParams, min_rotation, min_translation
 from ringsense.simulator import default_compliance, project_layout
@@ -154,10 +154,7 @@ def test_criterion_5_occlusion_robustness_ordering(camera, layout):
         pose = random_pose(rng)
         for key, lay in (("full", layout), ("grid", grid_only), ("two", two_tags)):
             exact = project_layout(camera, lay, pose)
-            noisy = exact.img_points() + rng.normal(0, 0.25, (len(exact), 2))
-            corrs = CorrespondenceSet(entries=tuple(
-                replace(e, point_img=(float(u), float(v)))
-                for e, (u, v) in zip(exact.entries, noisy)))
+            corrs = replace(exact, img=exact.img + rng.normal(0, 0.25, (len(exact), 2)))
             est = estimate_pose(camera, corrs)
             errors[key].append(
                 float(np.linalg.norm(est.pose.translation - pose.translation)))

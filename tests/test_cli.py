@@ -216,3 +216,51 @@ def test_monitor_requires_config(tmp_path, pipeline_dir, capsys):
                "--out", str(tmp_path / "e.json"), "--quiet"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def frame_row(tmp_path_factory):
+    sim = tmp_path_factory.mktemp("one_frame")
+    assert main(["simulate", "--axis", "2", "--samples-per-axis", "1", "--sigma", "0",
+                 "--seed", "4", "--out", str(sim), "--quiet"]) == 0
+    return read_jsonl(sim / "frames.jsonl")[0]
+
+
+@pytest.mark.parametrize("flags, expected_rc", [([], 1), (["--allow-single-tag"], 0)])
+def test_warm_start_applies_the_tag_gate(tmp_path, capsys, frame_row, flags, expected_rc):
+    one_tag = {**frame_row, "frame": 1, "entries": frame_row["entries"][:4]}
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text(json.dumps(frame_row) + "\n" + json.dumps(one_tag) + "\n")
+    rc = main(["estimate", "--frames", str(frames), "--warm-start", *flags,
+               "--out", str(tmp_path / "poses.jsonl"), "--quiet"])
+    assert rc == expected_rc
+    if expected_rc == 1:
+        assert "1 tag(s) / 4 corner(s)" in capsys.readouterr().err
+
+
+def _drop_ref(row):
+    row["entries"][3].pop("ref_mm")
+    return json.dumps(row)
+
+
+def _two_value_ref(row):
+    row["entries"][3]["ref_mm"] = row["entries"][3]["ref_mm"][:2]
+    return json.dumps(row)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_ref,
+    lambda row: json.dumps(row)[:200],
+    _two_value_ref,
+], ids=["missing_ref_mm", "truncated_json", "two_value_ref_mm"])
+def test_malformed_frames_are_validation_errors(tmp_path, capsys, frame_row, corrupt):
+    frames = tmp_path / "frames.jsonl"
+    good = json.dumps(frame_row)
+    frames.write_text(good + "\n\n" + corrupt(json.loads(good)) + "\n")
+    rc = main(["estimate", "--frames", str(frames),
+               "--out", str(tmp_path / "poses.jsonl"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{frames} line 3:" in err

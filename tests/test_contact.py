@@ -235,19 +235,17 @@ def test_debounce_suppresses_noise_triggers(camera, layout, reference_pose):
     # Paper-cup threshold (0.005 mm) sits below the fiducial pose floor, so
     # a plain 1-frame rule false-triggers on a large fraction of no-contact
     # frames; requiring 3 consecutive frames drops the rate below 5%.
-    from ringsense.pnp import CorrespondenceSet, estimate_pose
+    from ringsense.pnp import estimate_pose
     from ringsense.simulator import project_layout
     from ringsense.geometry import delta_from_poses
 
     corrs0 = project_layout(camera, layout, reference_pose)
-    img0 = corrs0.img_points()
+    img0 = corrs0.img
     rng = np.random.default_rng(2)
     dz = []
     for _ in range(1500):
         noisy = img0 + rng.normal(0, 0.25, img0.shape)
-        entries = tuple(replace(e, point_img=(float(u), float(v)))
-                        for e, (u, v) in zip(corrs0.entries, noisy))
-        est = estimate_pose(camera, CorrespondenceSet(entries=entries))
+        est = estimate_pose(camera, replace(corrs0, img=noisy))
         dz.append(abs(delta_from_poses(reference_pose, est.pose).dl_z))
 
     threshold = OBJECT_PRESETS["paper_cup"][0]

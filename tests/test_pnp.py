@@ -13,7 +13,6 @@ from ringsense.errors import (
 from ringsense.geometry import RigidTransform, rotation_from_euler_xyz
 from ringsense.layout import visible_subset
 from ringsense.pnp import (
-    Correspondence,
     CorrespondenceSet,
     SolverConfig,
     epnp_initialize,
@@ -27,8 +26,7 @@ from conftest import random_pose
 
 
 def reprojection_rms(camera, corrs, pose):
-    ref = corrs.ref_points()
-    img = corrs.img_points()
+    ref, img = corrs.ref, corrs.img
     pc = ref @ pose.rotation.T + pose.translation
     uv = np.stack(
         [camera.fx * pc[:, 0] / pc[:, 2] + camera.cx,
@@ -37,10 +35,7 @@ def reprojection_rms(camera, corrs, pose):
 
 
 def jitter(corrs, sigma, rng):
-    noisy = corrs.img_points() + rng.normal(0, sigma, (len(corrs), 2))
-    return CorrespondenceSet(entries=tuple(
-        replace(e, point_img=(float(u), float(v)))
-        for e, (u, v) in zip(corrs.entries, noisy)))
+    return replace(corrs, img=corrs.img + rng.normal(0, sigma, (len(corrs), 2)))
 
 
 def rotation_angle(r):
@@ -64,23 +59,23 @@ def test_epnp_noise_free_round_trip(camera, layout):
 
 
 def test_epnp_collinear_points_degenerate(camera):
-    entries = tuple(
-        Correspondence(tag_id=i, corner_index=0, point_ref=(float(i), 0.0, 0.0),
-                       point_img=(100.0 + 5.0 * i, 90.0))
-        for i in range(8)
-    )
+    i = np.arange(8)
+    corrs = CorrespondenceSet(
+        tag_ids=i, corner_idx=np.zeros(8),
+        ref=np.column_stack([i, np.zeros(8), np.zeros(8)]),
+        img=np.column_stack([100.0 + 5.0 * i, np.full(8, 90.0)]))
     with pytest.raises(DegenerateConfiguration):
-        epnp_initialize(camera, CorrespondenceSet(entries=entries))
+        epnp_initialize(camera, corrs)
 
 
 def test_epnp_too_few_points(camera):
-    entries = tuple(
-        Correspondence(tag_id=0, corner_index=i, point_ref=(float(i), float(i % 2), 0.0),
-                       point_img=(100.0, 90.0 + i))
-        for i in range(3)
-    )
+    i = np.arange(3)
+    corrs = CorrespondenceSet(
+        tag_ids=np.zeros(3), corner_idx=i,
+        ref=np.column_stack([i, i % 2, np.zeros(3)]),
+        img=np.column_stack([np.full(3, 100.0), 90.0 + i]))
     with pytest.raises(DegenerateConfiguration):
-        epnp_initialize(camera, CorrespondenceSet(entries=entries))
+        epnp_initialize(camera, corrs)
 
 
 def test_epnp_only_rms_under_noise(camera, layout):
@@ -105,14 +100,10 @@ def test_epnp_inconsistent_correspondences_behind_camera(camera):
     n = 8
     ref = np.column_stack([rng.uniform(-8, 8, n), rng.uniform(-8, 8, n), np.zeros(n)])
     img = np.column_stack([rng.uniform(0, 256, n), rng.uniform(0, 192, n)])
-    entries = tuple(
-        Correspondence(tag_id=i // 4, corner_index=i % 4,
-                       point_ref=tuple(map(float, ref[i])),
-                       point_img=tuple(map(float, img[i])))
-        for i in range(n)
-    )
+    corrs = CorrespondenceSet(tag_ids=np.arange(n) // 4, corner_idx=np.arange(n) % 4,
+                              ref=ref, img=img)
     with pytest.raises(BehindCamera):
-        epnp_initialize(camera, CorrespondenceSet(entries=entries))
+        epnp_initialize(camera, corrs)
 
 
 def test_epnp_handles_tilted_plane(camera, layout):
@@ -126,9 +117,7 @@ def test_epnp_handles_tilted_plane(camera, layout):
     corrs = project_layout(camera, layout, pose)
     s = RigidTransform(rotation_from_euler_xyz(0.4, -0.3, 0.2), np.array([1.0, -2.0, 3.0]))
     s_inv = s.inverse()
-    tilted = CorrespondenceSet(entries=tuple(
-        replace(e, point_ref=tuple(float(x) for x in s.apply(np.array(e.point_ref))))
-        for e in corrs.entries))
+    tilted = replace(corrs, ref=s.apply(corrs.ref))
     expected = compose(pose, s_inv)
     est = estimate_pose(camera, tilted)
     assert np.max(np.abs(est.pose.translation - expected.translation)) < 1e-6
@@ -143,12 +132,8 @@ def test_epnp_non_planar_points(camera):
     cams = pose.apply(pts)
     uv = np.stack([camera.fx * cams[:, 0] / cams[:, 2] + camera.cx,
                    camera.fy * cams[:, 1] / cams[:, 2] + camera.cy], axis=1)
-    entries = tuple(
-        Correspondence(tag_id=i, corner_index=0, point_ref=tuple(map(float, pts[i])),
-                       point_img=(float(uv[i, 0]), float(uv[i, 1])))
-        for i in range(8)
-    )
-    est = estimate_pose(camera, CorrespondenceSet(entries=entries), allow_single_tag=True)
+    corrs = CorrespondenceSet(tag_ids=np.arange(8), corner_idx=np.zeros(8), ref=pts, img=uv)
+    est = estimate_pose(camera, corrs, allow_single_tag=True)
     assert np.max(np.abs(est.pose.translation - pose.translation)) < 1e-6
 
 
@@ -252,7 +237,8 @@ def test_estimate_pose_under_heavy_occlusion(camera, layout, reference_pose):
 
 def test_estimate_pose_standard_mode_minimums(camera, layout, reference_pose):
     corrs = project_layout(camera, layout, reference_pose)
-    one_tag = CorrespondenceSet(entries=corrs.entries[:4])
+    one_tag = CorrespondenceSet(tag_ids=corrs.tag_ids[:4], corner_idx=corrs.corner_idx[:4],
+                                ref=corrs.ref[:4], img=corrs.img[:4])
     with pytest.raises(TooFewTagsVisible):
         estimate_pose(camera, one_tag)
     est = estimate_pose(camera, one_tag, allow_single_tag=True)
@@ -357,9 +343,9 @@ def test_jacobian_rejects_non_positive_depth(camera):
 # ------------------------------------------------------------- value types
 
 def test_correspondence_set_rejects_duplicates():
-    e = Correspondence(tag_id=0, corner_index=0, point_ref=(0, 0, 0), point_img=(1, 1))
     with pytest.raises(ValidationFailure):
-        CorrespondenceSet(entries=(e, e))
+        CorrespondenceSet(tag_ids=[0, 0], corner_idx=[0, 0], ref=np.zeros((2, 3)),
+                          img=np.ones((2, 2)))
 
 
 def test_solver_config_validation():
