@@ -13,7 +13,6 @@ from .calibration import (
     calibrate,
     evaluate,
     fit_axis,
-    split,
 )
 from .contact import (
     OBJECT_PRESETS,
@@ -127,7 +126,6 @@ __all__ = [
     "propagate_wrench_floor",
     "refine_lm",
     "run_episode",
-    "split",
     "step",
     "sweep_dataset",
     "synthesize_frame",

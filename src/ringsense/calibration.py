@@ -1,8 +1,10 @@
 """Per-axis deformation-to-wrench calibration.
 
 Fits one 1-D polynomial model per wrench axis from synchronized
-(deformation, wrench) pairs: a seeded 80/20 shuffle split, a least-squares
-fit on the training part, and R^2/RMSE metrics on the held-out part. The
+(deformation, wrench) samples: a seeded 80/20 shuffle split, a least-squares
+fit on the training part, and R^2/RMSE metrics on the held-out part. A
+sample set is two (n, 6) float arrays: deformations ``x`` (mm, then rad)
+and wrenches ``y`` (mN, then mN*m), row i of each describing sample i. The
 input pose component for each wrench axis is chosen by maximum absolute
 Pearson correlation on the training data, which recovers the identity
 pairing under diagonal compliance and adapts under coupling.
@@ -21,10 +23,8 @@ from .errors import (
     ValidationFailure,
     ZeroVariance,
 )
-from .geometry import DeformationVector
-from .simulator import Wrench
 
-Pair = tuple[DeformationVector, Wrench]
+_AXIS_NAMES = ("fx", "fy", "fz", "tx", "ty", "tz")
 
 
 @dataclass(frozen=True)
@@ -139,14 +139,11 @@ class CalibrationConfig:
     seed: int = 0
 
 
-def _as_arrays(pairs: list[Pair]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array([p[0].as_array() for p in pairs])
-    y = np.array([p[1].as_array() for p in pairs])
-    return x, y
-
-
 def split_indices(n: int, fraction: float = 0.8, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(train, test) index arrays for a seeded shuffle-then-prefix split."""
+    """(train, test) index arrays for a seeded shuffle-then-prefix split.
+
+    Exact partition: sizes round(fraction * n) and the remainder, no overlap.
+    """
     if not 0 < fraction < 1:
         raise ValidationFailure(f"fraction must be in (0, 1), got {fraction}")
     if n < 10:
@@ -154,15 +151,6 @@ def split_indices(n: int, fraction: float = 0.8, seed: int = 0) -> tuple[np.ndar
     order = np.random.default_rng(seed).permutation(n)
     n_train = round(fraction * n)
     return order[:n_train], order[n_train:]
-
-
-def split(pairs: list[Pair], fraction: float = 0.8, seed: int = 0) -> tuple[list[Pair], list[Pair]]:
-    """Seeded shuffle then prefix split into (train, test).
-
-    Exact partition: sizes round(fraction * n) and the remainder, no overlap.
-    """
-    train_idx, test_idx = split_indices(len(pairs), fraction, seed)
-    return [pairs[i] for i in train_idx], [pairs[i] for i in test_idx]
 
 
 def _select_input_component(x: np.ndarray, y_axis: np.ndarray) -> int:
@@ -178,8 +166,8 @@ def _select_input_component(x: np.ndarray, y_axis: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
-def fit_axis(train: list[Pair], axis: int, degree: int = 1) -> AxisModel:
-    """Least-squares polynomial fit for one wrench axis on training pairs.
+def fit_axis(x: np.ndarray, y: np.ndarray, axis: int, degree: int = 1) -> AxisModel:
+    """Least-squares polynomial fit for one wrench axis on training samples.
 
     The design matrix is solved by orthogonal decomposition (SVD-based
     lstsq), with an intercept in all fits.
@@ -190,21 +178,20 @@ def fit_axis(train: list[Pair], axis: int, degree: int = 1) -> AxisModel:
     """
     if degree not in (1, 3):
         raise ValidationFailure(f"degree must be 1 or 3, got {degree}")
-    if len(train) < degree + 2:
+    if len(x) < degree + 2:
         raise TooFewSamples(f"need at least {degree + 2} samples for degree {degree}")
-    x_all, y_all = _as_arrays(train)
-    y = y_all[:, axis]
-    component = _select_input_component(x_all, y)
-    x = x_all[:, component]
-    if np.ptp(x) == 0.0:
+    target = y[:, axis]
+    component = _select_input_component(x, target)
+    inputs = x[:, component]
+    if np.ptp(inputs) == 0.0:
         raise RankDeficient(f"pose component {component} is constant on the training data")
-    design = np.column_stack([x**k for k in range(degree + 1)])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    design = np.column_stack([inputs**k for k in range(degree + 1)])
+    coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < degree + 1:
         raise RankDeficient("design matrix is rank deficient")
     pred = design @ coeffs
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_res = float(np.sum((target - pred) ** 2))
+    ss_tot = float(np.sum((target - target.mean()) ** 2))
     if ss_tot == 0.0:
         raise ZeroVariance(f"wrench axis {axis} has zero variance on the training data")
     return AxisModel(
@@ -213,12 +200,12 @@ def fit_axis(train: list[Pair], axis: int, degree: int = 1) -> AxisModel:
         coefficients=tuple(float(c) for c in coeffs),
         degree=degree,
         r2_train=1.0 - ss_res / ss_tot,
-        rmse_train=float(np.sqrt(ss_res / len(train))),
+        rmse_train=float(np.sqrt(ss_res / len(x))),
     )
 
 
-def evaluate(model: AxisModel, test: list[Pair]) -> tuple[float, float]:
-    """(R^2, RMSE) of ``model`` on held-out pairs.
+def evaluate(model: AxisModel, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(R^2, RMSE) of ``model`` on held-out samples.
 
     R^2 = 1 - SS_res / SS_tot about the held-out mean; RMSE = sqrt(SS_res / n).
 
@@ -226,55 +213,53 @@ def evaluate(model: AxisModel, test: list[Pair]) -> tuple[float, float]:
         TooFewSamples: fewer than 2 test samples.
         ZeroVariance: held-out targets are constant.
     """
-    if len(test) < 2:
-        raise TooFewSamples(f"need at least 2 test samples, got {len(test)}")
-    x_all, y_all = _as_arrays(test)
-    y = y_all[:, model.axis]
-    pred = model.predict(x_all[:, model.input_component])
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if len(x) < 2:
+        raise TooFewSamples(f"need at least 2 test samples, got {len(x)}")
+    target = y[:, model.axis]
+    pred = model.predict(x[:, model.input_component])
+    ss_res = float(np.sum((target - pred) ** 2))
+    ss_tot = float(np.sum((target - target.mean()) ** 2))
     if ss_tot == 0.0:
         raise ZeroVariance(f"wrench axis {model.axis} has zero variance on the test data")
-    return 1.0 - ss_res / ss_tot, float(np.sqrt(ss_res / len(test)))
+    return 1.0 - ss_res / ss_tot, float(np.sqrt(ss_res / len(x)))
 
 
-def calibrate(pairs: list[Pair], config: CalibrationConfig = CalibrationConfig()) -> CalibrationReport:
+def calibrate(x: np.ndarray, y: np.ndarray,
+              config: CalibrationConfig = CalibrationConfig()) -> CalibrationReport:
     """Split once, then fit and evaluate all six axes on the same partition.
 
-    The six per-axis fits are independent of each other and share only the
+    ``x`` holds the deformations and ``y`` the wrenches, both (n, 6). The six
+    per-axis fits are independent of each other and share only the
     immutable partition.
 
     Raises:
+        ValidationFailure: if ``x`` and ``y`` are not both (n, 6).
         UncoveredAxis: if a wrench axis has no excitation in the data or in
         either side of the split.
     """
-    _, y = _as_arrays(pairs) if pairs else (None, np.zeros((0, 6)))
+    if x.ndim != 2 or x.shape[1] != 6 or y.shape != x.shape:
+        raise ValidationFailure(f"x and y must both be (n, 6), got {x.shape} and {y.shape}")
     for axis in range(6):
-        if y.shape[0] == 0 or np.ptp(y[:, axis]) == 0.0:
-            raise UncoveredAxis(f"wrench axis {axis} ({_axis_name(axis)}) has no excitation")
-    train, test = split(pairs, config.split_fraction, config.seed)
+        if len(y) == 0 or np.ptp(y[:, axis]) == 0.0:
+            raise UncoveredAxis(f"wrench axis {axis} ({_AXIS_NAMES[axis]}) has no excitation")
+    train, test = split_indices(len(y), config.split_fraction, config.seed)
     # A global split can starve an axis at small sample counts; fail with an
     # actionable message rather than an undefined R^2 downstream.
     for name, part in (("training", train), ("held-out", test)):
-        _, y_part = _as_arrays(part)
         for axis in range(6):
-            if np.ptp(y_part[:, axis]) == 0.0:
+            if np.ptp(y[part, axis]) == 0.0:
                 raise UncoveredAxis(
-                    f"wrench axis {axis} ({_axis_name(axis)}) has no excitation in the "
+                    f"wrench axis {axis} ({_AXIS_NAMES[axis]}) has no excitation in the "
                     f"{name} split; increase the sample count or change the split seed"
                 )
     models = []
     for axis in range(6):
-        model = fit_axis(train, axis, config.degree)
-        r2_test, rmse_test = evaluate(model, test)
+        model = fit_axis(x[train], y[train], axis, config.degree)
+        r2_test, rmse_test = evaluate(model, x[test], y[test])
         models.append(replace(model, r2_test=r2_test, rmse_test=rmse_test))
     return CalibrationReport(
         models=tuple(models),
         split_fraction=config.split_fraction,
         split_seed=config.seed,
-        sample_count=len(pairs),
+        sample_count=len(y),
     )
-
-
-def _axis_name(axis: int) -> str:
-    return ("fx", "fy", "fz", "tx", "ty", "tz")[axis]

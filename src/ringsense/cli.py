@@ -33,12 +33,10 @@ from .contact import (
     config_for_object,
     run_episode,
 )
-from .errors import NumericalFailure, RingSenseError, ValidationFailure
+from .errors import EulerOutOfRange, NumericalFailure, RingSenseError, ValidationFailure
 from .geometry import (
     EULER_CONVENTION,
-    DeformationVector,
     PinholeCamera,
-    RigidTransform,
     default_camera,
     delta_from_poses,
 )
@@ -47,7 +45,7 @@ from .pnp import CorrespondenceSet, PoseEstimate, estimate_pose
 from .sensitivity import DetectionParams, analyze
 from .simulator import (
     NoiseModel,
-    Wrench,
+    SweepSample,
     axis_magnitudes,
     default_compliance,
     default_reference_pose,
@@ -77,16 +75,24 @@ def _dump_jsonl(path: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _load_jsonl(path: Path) -> list[tuple[int, dict]]:
-    """(line number, parsed value) for each non-blank line of a JSONL file."""
+def _load_jsonl(path: Path, parse, kind: str) -> list:
+    """``parse`` of each non-blank line of a JSONL file; invalid JSON or a
+    row that ``parse`` rejects raises ValidationFailure naming the file and
+    line."""
     rows = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    rows.append((lineno, json.loads(line)))
-                except json.JSONDecodeError as exc:
-                    raise ValidationFailure(f"{path} line {lineno}: invalid JSON: {exc}") from exc
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationFailure(f"{path} line {lineno}: invalid JSON: {exc}") from exc
+            try:
+                rows.append(parse(row))
+            except (KeyError, TypeError, ValueError, OverflowError, ValidationFailure) as exc:
+                detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ValidationFailure(f"{path} line {lineno}: bad {kind} row: {detail}") from exc
     return rows
 
 
@@ -143,43 +149,42 @@ def _corrs_from_row(row: dict) -> CorrespondenceSet:
     )
 
 
-def _load_frames(path: Path) -> list[tuple[int, CorrespondenceSet]]:
-    """(frame id, correspondences) per row of a correspondences JSONL; a
-    malformed row raises ValidationFailure naming the file and line."""
-    frames = []
-    for lineno, row in _load_jsonl(path):
-        try:
-            frames.append((row["frame"], _corrs_from_row(row)))
-        except (KeyError, TypeError, ValueError, OverflowError, ValidationFailure) as exc:
-            detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise ValidationFailure(f"{path} line {lineno}: bad frame row: {detail}") from exc
-    return frames
-
-
-def _write_sweep_csv(path: Path, rows: list[tuple[int, float, Wrench, DeformationVector]]) -> None:
+def _write_sweep_csv(path: Path, axes, magnitudes, wrenches: np.ndarray,
+                     deltas: np.ndarray) -> None:
+    """One row per sample: axis, magnitude, then its rows of ``wrenches`` and ``deltas``."""
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
-        for axis, magnitude, wrench, delta in rows:
-            writer.writerow(
-                [axis, repr(magnitude)]
-                + [repr(float(v)) for v in wrench.as_array()]
-                + [repr(float(v)) for v in delta.as_array()]
-            )
+        for axis, magnitude, wrench, delta in zip(axes, magnitudes, wrenches.tolist(),
+                                                  deltas.tolist()):
+            writer.writerow([axis, repr(magnitude)] + [repr(v) for v in wrench + delta])
 
 
-def _read_sweep_csv(path: Path) -> list[tuple[DeformationVector, Wrench]]:
-    pairs = []
+def _read_sweep_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """(deformations, wrenches) of a sweep CSV as two (n, 6) arrays; a bad
+    row raises ValidationFailure or EulerOutOfRange naming the file and line."""
+    lines, rows = [], []
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(SWEEP_HEADER) - set(reader.fieldnames or [])
         if missing:
             raise ValidationFailure(f"{path}: missing columns {sorted(missing)}")
         for row in reader:
-            wrench = Wrench(*(float(row[k]) for k in SWEEP_HEADER[2:8]))
-            delta = DeformationVector(*(float(row[k]) for k in SWEEP_HEADER[8:14]))
-            pairs.append((delta, wrench))
-    return pairs
+            try:
+                rows.append([float(row[k]) for k in SWEEP_HEADER[2:]])
+            except (TypeError, ValueError) as exc:
+                raise ValidationFailure(
+                    f"{path} line {reader.line_num}: bad sweep row: {exc}") from exc
+            lines.append(reader.line_num)
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), 12)
+    for bad, error, reason in (
+        (~np.isfinite(values).all(axis=1), ValidationFailure, "values must be finite"),
+        ((np.abs(values[:, 9:]) >= np.pi / 2).any(axis=1), EulerOutOfRange,
+         "rotations must satisfy |angle| < pi/2"),
+    ):
+        if bad.any():
+            raise error(f"{path} line {lines[np.argmax(bad)]}: bad sweep row: {reason}")
+    return values[:, 6:], values[:, :6]
 
 
 # ---------------------------------------------------------------- layout
@@ -218,6 +223,18 @@ def _run_sweeps(camera, layout, reference, compliance, noise_sigma, occlusion, s
     return samples
 
 
+def _write_simulation(out_dir: Path, samples: list[SweepSample]):
+    """Write sweep.csv and frames.jsonl; return the axes, magnitudes and (n, 6) wrenches."""
+    axes = [s.axis for s in samples]
+    magnitudes = [s.magnitude for s in samples]
+    wrenches = np.array([s.wrench.as_array() for s in samples]).reshape(-1, 6)
+    deltas = np.array([s.deformation.as_array() for s in samples]).reshape(-1, 6)
+    _write_sweep_csv(out_dir / "sweep.csv", axes, magnitudes, wrenches, deltas)
+    _dump_jsonl(out_dir / "frames.jsonl",
+                (_corrs_to_row(i, i * 0.02, s.correspondences) for i, s in enumerate(samples)))
+    return axes, magnitudes, wrenches
+
+
 def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -229,10 +246,7 @@ def _cmd_simulate(args) -> int:
 
     samples = _run_sweeps(camera, layout, reference, compliance, args.sigma,
                           args.occlusion, args.seed, axes, args.samples_per_axis, args.span)
-    _write_sweep_csv(out_dir / "sweep.csv",
-                     [(s.axis, s.magnitude, s.wrench, s.deformation) for s in samples])
-    _dump_jsonl(out_dir / "frames.jsonl",
-                (_corrs_to_row(i, i * 0.02, s.correspondences) for i, s in enumerate(samples)))
+    _write_simulation(out_dir, samples)
     config = {
         "axis": args.axis, "samples_per_axis": args.samples_per_axis,
         "sigma": args.sigma, "occlusion": args.occlusion, "span": args.span,
@@ -253,7 +267,9 @@ def _cmd_estimate(args) -> int:
     camera = _load_camera(args.camera)
     out_rows = []
     previous = None
-    for frame, corrs in _load_frames(Path(args.frames)):
+    frames = _load_jsonl(Path(args.frames), lambda row: (row["frame"], _corrs_from_row(row)),
+                         "frame")
+    for frame, corrs in frames:
         estimate = estimate_pose(camera, corrs, allow_single_tag=args.allow_single_tag,
                                  init=previous if args.warm_start else None)
         previous = estimate.pose
@@ -265,32 +281,30 @@ def _cmd_estimate(args) -> int:
 
 # ------------------------------------------------------------- calibrate
 
-def _write_scatter_csv(path: Path, pairs, report: CalibrationReport) -> None:
-    train_idx, _ = split_indices(len(pairs), report.split_fraction, report.split_seed)
-    train_set = set(int(i) for i in train_idx)
+def _write_scatter_csv(path: Path, x: np.ndarray, y: np.ndarray,
+                       report: CalibrationReport) -> None:
+    train_idx, _ = split_indices(len(x), report.split_fraction, report.split_seed)
+    train_set = set(train_idx.tolist())
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["wrench_axis", "sample", "input_value", "actual", "predicted", "subset"])
         for axis in range(6):
             model = report.model_for_axis(axis)
-            for i, (delta, wrench) in enumerate(pairs):
-                x = float(delta.as_array()[model.input_component])
-                writer.writerow([
-                    axis, i, repr(x),
-                    repr(float(wrench.as_array()[axis])),
-                    repr(float(model.predict(np.array([x]))[0])),
-                    "train" if i in train_set else "test",
-                ])
+            inputs = x[:, model.input_component]
+            for i, (value, actual, predicted) in enumerate(zip(
+                    inputs.tolist(), y[:, axis].tolist(), model.predict(inputs).tolist())):
+                writer.writerow([axis, i, repr(value), repr(actual), repr(predicted),
+                                 "train" if i in train_set else "test"])
 
 
 def _cmd_calibrate(args) -> int:
-    pairs = _read_sweep_csv(Path(args.data))
-    report = calibrate(pairs, CalibrationConfig(
+    x, y = _read_sweep_csv(Path(args.data))
+    report = calibrate(x, y, CalibrationConfig(
         degree=args.degree, split_fraction=args.split, seed=args.seed,
     ))
     _dump_json(Path(args.out), report.to_dict())
     if args.scatter_csv:
-        _write_scatter_csv(Path(args.scatter_csv), pairs, report)
+        _write_scatter_csv(Path(args.scatter_csv), x, y, report)
     _info(args, "r2_test per axis: " + ", ".join(
         f"{m.axis}:{m.r2_test:.5f}" for m in report.models))
     return 0
@@ -323,6 +337,13 @@ def _cmd_sensitivity(args) -> int:
 
 # ---------------------------------------------------------------- monitor
 
+def _joints(text: str, flag: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ValidationFailure(f"{flag} must be comma-separated numbers, got {text!r}") from exc
+
+
 def _cmd_monitor(args) -> int:
     if args.object is not None:
         config = config_for_object(args.object, debounce_frames=args.debounce)
@@ -338,19 +359,9 @@ def _cmd_monitor(args) -> int:
         config = ContactConfig(threshold_mm=args.threshold, total_frames=args.frames_count,
                                debounce_frames=args.debounce)
 
-    rows = [row for _, row in _load_jsonl(Path(args.poses))]
-    poses = [
-        PoseEstimate(
-            pose=RigidTransform.from_dict(r["pose"]),
-            rms_reprojection_error=float(r["rms_reprojection_error"]),
-            iterations_used=int(r["iterations_used"]),
-            converged=bool(r["converged"]),
-        )
-        for r in rows
-    ]
-    start = tuple(float(v) for v in args.start_joints.split(","))
-    target = tuple(float(v) for v in args.target_joints.split(","))
-    traj = ApproachTrajectory(start_joints=start, target_joints=target,
+    poses = _load_jsonl(Path(args.poses), PoseEstimate.from_dict, "pose")
+    traj = ApproachTrajectory(start_joints=_joints(args.start_joints, "--start-joints"),
+                              target_joints=_joints(args.target_joints, "--target-joints"),
                               total_frames=config.total_frames)
     result = run_episode(traj, config, iter(poses))
     payload = {
@@ -399,26 +410,20 @@ def _cmd_pipeline(args) -> int:
     samples = _stage("simulate", _run_sweeps, camera, layout, reference, compliance,
                      args.sigma, 0.0, args.seed, list(range(6)),
                      args.samples_per_axis, args.span)
-    _write_sweep_csv(out_dir / "sweep.csv",
-                     [(s.axis, s.magnitude, s.wrench, s.deformation) for s in samples])
-    _dump_jsonl(out_dir / "frames.jsonl",
-                (_corrs_to_row(i, i * 0.02, s.correspondences) for i, s in enumerate(samples)))
+    axes, magnitudes, wrenches = _write_simulation(out_dir, samples)
     _info(args, f"simulated {len(samples)} frames")
 
     pose_rows = []
-    estimated_pairs = []
+    deltas = np.empty((len(samples), 6))
     for i, sample in enumerate(samples):
         estimate = _stage("estimate", estimate_pose, camera, sample.correspondences)
         pose_rows.append({"frame": i, **estimate.to_dict()})
-        estimated_pairs.append(
-            (delta_from_poses(reference, estimate.pose), sample.wrench))
+        deltas[i] = delta_from_poses(reference, estimate.pose).as_array()
     _dump_jsonl(out_dir / "poses.jsonl", pose_rows)
-    _write_sweep_csv(out_dir / "sweep_estimated.csv",
-                     [(s.axis, s.magnitude, pair[1], pair[0])
-                      for s, pair in zip(samples, estimated_pairs)])
+    _write_sweep_csv(out_dir / "sweep_estimated.csv", axes, magnitudes, wrenches, deltas)
     _info(args, f"estimated {len(pose_rows)} poses")
 
-    report = _stage("calibrate", calibrate, estimated_pairs, CalibrationConfig(
+    report = _stage("calibrate", calibrate, deltas, wrenches, CalibrationConfig(
         degree=args.degree, split_fraction=args.split,
         seed=derive_seed(args.seed, "calibrate") % 2**32,
     ))

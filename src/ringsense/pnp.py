@@ -143,6 +143,18 @@ class PoseEstimate:
             "converged": self.converged,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "PoseEstimate":
+        """Inverse of ``to_dict``; ``converged`` must be a boolean."""
+        if not isinstance(data["converged"], bool):
+            raise ValidationFailure(f"converged must be true or false, got {data['converged']!r}")
+        return cls(
+            pose=RigidTransform.from_dict(data["pose"]),
+            rms_reprojection_error=float(data["rms_reprojection_error"]),
+            iterations_used=int(data["iterations_used"]),
+            converged=data["converged"],
+        )
+
 
 def _so3_exp(phi: np.ndarray) -> np.ndarray:
     """Rodrigues rotation for a 3-vector increment."""

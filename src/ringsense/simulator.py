@@ -40,8 +40,6 @@ from .geometry import (
 from .layout import TagLayout, corners_ref, visible_subset
 from .pnp import CorrespondenceSet
 
-WRENCH_AXES = ("fx", "fy", "fz", "tx", "ty", "tz")
-
 # Reference sensitivity floor (mm, rad) and wrench floor (mN, mN*m) that the
 # default compliance is constructed from: C_ii = floor_pose_i / floor_wrench_i.
 _POSE_FLOOR = (0.0135, 0.0135, 0.0135, 0.0136, 0.0136, 0.0136)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringsense.calibration import (
     AxisModel,
@@ -7,7 +9,6 @@ from ringsense.calibration import (
     calibrate,
     evaluate,
     fit_axis,
-    split,
     split_indices,
 )
 from ringsense.errors import (
@@ -17,15 +18,15 @@ from ringsense.errors import (
     ValidationFailure,
     ZeroVariance,
 )
-from ringsense.geometry import DeformationVector
 from ringsense.simulator import Wrench, default_compliance, deform
 
 
-def make_pairs(n, seed=0, noise=0.0, compliance=None, axes=range(6)):
-    """Single-axis sweeps through the (optionally softened) compliance model."""
+def make_samples(n, seed=0, noise=0.0, compliance=None, axes=range(6)):
+    """(deformations, wrenches) of single-axis sweeps through the
+    (optionally softened) compliance model."""
     model = compliance if compliance is not None else default_compliance()
     rng = np.random.default_rng(seed)
-    pairs = []
+    x, y = [], []
     diag = np.diag(model.compliance)
     for axis in axes:
         limit = model.deformation_limit[axis] / diag[axis]
@@ -34,29 +35,27 @@ def make_pairs(n, seed=0, noise=0.0, compliance=None, axes=range(6)):
             delta = deform(model, wrench).as_array()
             if noise:
                 delta = delta + rng.normal(0, noise, 6)
-            pairs.append((DeformationVector.from_array(delta), wrench))
-    return pairs
+            x.append(delta)
+            y.append(wrench.as_array())
+    return np.array(x), np.array(y)
 
 
 # ------------------------------------------------------------------ split
 
 def test_split_800_200():
-    pairs = make_pairs(167)[:1000]
-    train, test = split(pairs, 0.8, seed=1)
+    train, test = split_indices(1000, 0.8, seed=1)
     assert len(train) == 800 and len(test) == 200
 
 
 def test_split_boundary_10_pairs():
-    pairs = make_pairs(10, axes=[0])
-    train, test = split(pairs, 0.8, seed=1)
+    train, test = split_indices(10, 0.8, seed=1)
     assert len(train) == 8 and len(test) == 2
 
 
 def test_split_deterministic():
-    pairs = make_pairs(20, axes=[0, 1])
-    a_train, a_test = split(pairs, 0.8, seed=7)
-    b_train, b_test = split(pairs, 0.8, seed=7)
-    assert a_train == b_train and a_test == b_test
+    a_train, a_test = split_indices(40, 0.8, seed=7)
+    b_train, b_test = split_indices(40, 0.8, seed=7)
+    assert np.array_equal(a_train, b_train) and np.array_equal(a_test, b_test)
 
 
 def test_split_exact_partition():
@@ -68,18 +67,18 @@ def test_split_exact_partition():
 
 def test_split_too_few():
     with pytest.raises(TooFewSamples):
-        split(make_pairs(9, axes=[0])[:9], 0.8, seed=0)
+        split_indices(9, 0.8, seed=0)
     with pytest.raises(ValidationFailure):
-        split(make_pairs(10, axes=[0]), 1.5, seed=0)
+        split_indices(10, 1.5, seed=0)
 
 
 # --------------------------------------------------------------- fit_axis
 
 def test_fit_exact_linear_recovers_inverse_compliance():
     compliance = default_compliance()
-    pairs = make_pairs(50)
+    x, y = make_samples(50)
     for axis in range(6):
-        model = fit_axis(pairs, axis, degree=1)
+        model = fit_axis(x, y, axis, degree=1)
         assert model.input_component == axis
         assert model.r2_train == pytest.approx(1.0, abs=1e-9)
         true_slope = 1.0 / compliance.compliance[axis, axis]
@@ -88,69 +87,67 @@ def test_fit_exact_linear_recovers_inverse_compliance():
 
 
 def test_fit_constant_input_rank_deficient():
-    pairs = [(DeformationVector.zero(), Wrench.single_axis(0, float(m)))
-             for m in np.linspace(-10, 10, 20)]
+    x = np.zeros((20, 6))
+    y = np.zeros((20, 6))
+    y[:, 0] = np.linspace(-10, 10, 20)
     with pytest.raises(RankDeficient):
-        fit_axis(pairs, 0, degree=1)
+        fit_axis(x, y, 0, degree=1)
 
 
 def test_fit_too_few_samples():
-    pairs = make_pairs(50)[:3]
+    x, y = make_samples(50)
     with pytest.raises(TooFewSamples):
-        fit_axis(pairs, 0, degree=3)
+        fit_axis(x[:3], y[:3], 0, degree=3)
 
 
 def test_cubic_data_prefers_degree_3():
     soft = default_compliance(cubic_softening=0.75)
-    pairs = make_pairs(120, compliance=soft, axes=[0])
-    # Pad remaining axes so calibrate-style selection is unambiguous here.
-    train, test = split(pairs, 0.8, seed=5)
-    m1 = fit_axis(train, 0, degree=1)
-    m3 = fit_axis(train, 0, degree=3)
-    r2_1, _ = evaluate(m1, test)
-    r2_3, _ = evaluate(m3, test)
+    x, y = make_samples(120, compliance=soft, axes=[0])
+    train, test = split_indices(len(x), 0.8, seed=5)
+    m1 = fit_axis(x[train], y[train], 0, degree=1)
+    m3 = fit_axis(x[train], y[train], 0, degree=3)
+    r2_1, _ = evaluate(m1, x[test], y[test])
+    r2_3, _ = evaluate(m3, x[test], y[test])
     assert r2_3 > r2_1
 
 
 def test_nested_fit_train_r2_ordering():
     rng = np.random.default_rng(8)
-    pairs = make_pairs(60, axes=[2])
-    noisy = [(DeformationVector.from_array(d.as_array() + rng.normal(0, 1e-3, 6)), w)
-             for d, w in pairs]
-    m1 = fit_axis(noisy, 2, degree=1)
-    m3 = fit_axis(noisy, 2, degree=3)
+    x, y = make_samples(60, axes=[2])
+    noisy = x + rng.normal(0, 1e-3, x.shape)
+    m1 = fit_axis(noisy, y, 2, degree=1)
+    m3 = fit_axis(noisy, y, 2, degree=3)
     assert m3.r2_train >= m1.r2_train
 
 
 # --------------------------------------------------------------- evaluate
 
 def test_evaluate_perfect_predictions():
-    pairs = make_pairs(40, axes=[1])
-    model = fit_axis(pairs, 1, degree=1)
-    r2, rmse = evaluate(model, pairs)
+    x, y = make_samples(40, axes=[1])
+    model = fit_axis(x, y, 1, degree=1)
+    r2, rmse = evaluate(model, x, y)
     assert r2 == pytest.approx(1.0, abs=1e-12)
     assert rmse == pytest.approx(0.0, abs=1e-9)
 
 
 def test_evaluate_mean_predictor_r2_zero():
-    pairs = make_pairs(40, axes=[0])
-    target_mean = float(np.mean([w.as_array()[0] for _, w in pairs]))
+    x, y = make_samples(40, axes=[0])
+    target_mean = float(np.mean(y[:, 0]))
     model = AxisModel(axis=0, input_component=0, coefficients=(target_mean, 0.0),
                       degree=1, r2_train=0.0, rmse_train=1.0)
-    r2, _ = evaluate(model, pairs)
+    r2, _ = evaluate(model, x, y)
     assert r2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_evaluate_matches_two_pass_scalar_oracle():
     rng = np.random.default_rng(9)
-    pairs = make_pairs(30, axes=[4], noise=0.01, seed=2)
+    x, y = make_samples(30, axes=[4], noise=0.01, seed=2)
     model = AxisModel(axis=4, input_component=4,
                       coefficients=(rng.normal(), rng.normal()),
                       degree=1, r2_train=0.0, rmse_train=1.0)
-    r2, rmse = evaluate(model, pairs)
-    ys = [w.as_array()[4] for _, w in pairs]
-    preds = [model.coefficients[0] + model.coefficients[1] * d.as_array()[4]
-             for d, _ in pairs]
+    r2, rmse = evaluate(model, x, y)
+    ys = [float(row[4]) for row in y]
+    preds = [model.coefficients[0] + model.coefficients[1] * float(row[4]) for row in x]
     mean = sum(ys) / len(ys)
     ss_res = sum((y - p) ** 2 for y, p in zip(ys, preds))
     ss_tot = sum((y - mean) ** 2 for y in ys)
@@ -161,18 +158,20 @@ def test_evaluate_matches_two_pass_scalar_oracle():
 
 
 def test_evaluate_zero_variance():
-    pairs = [(DeformationVector.from_array([m, 0, 0, 0, 0, 0]), Wrench(5, 0, 0, 0, 0, 0))
-             for m in np.linspace(-1, 1, 10)]
+    x = np.zeros((10, 6))
+    x[:, 0] = np.linspace(-1, 1, 10)
+    y = np.zeros((10, 6))
+    y[:, 0] = 5.0
     model = AxisModel(axis=0, input_component=0, coefficients=(0.0, 1.0),
                       degree=1, r2_train=0.0, rmse_train=1.0)
     with pytest.raises(ZeroVariance):
-        evaluate(model, pairs)
+        evaluate(model, x, y)
 
 
 # -------------------------------------------------------------- calibrate
 
 def test_calibrate_noiseless_r2():
-    report = calibrate(make_pairs(30), CalibrationConfig(seed=11))
+    report = calibrate(*make_samples(30), CalibrationConfig(seed=11))
     assert report.sample_count == 180
     for model in report.models:
         assert model.r2_test > 0.9999
@@ -182,8 +181,8 @@ def test_calibrate_noiseless_r2():
 def test_calibrate_noisy_r2_and_slopes():
     compliance = default_compliance()
     # Pose-estimate-scale noise on the deformation inputs.
-    pairs = make_pairs(50, noise=3e-3, seed=4)
-    report = calibrate(pairs, CalibrationConfig(seed=12))
+    x, y = make_samples(50, noise=3e-3, seed=4)
+    report = calibrate(x, y, CalibrationConfig(seed=12))
     for model in report.models:
         assert model.r2_test > 0.95
         true_slope = 1.0 / compliance.compliance[model.axis, model.axis]
@@ -191,13 +190,24 @@ def test_calibrate_noisy_r2_and_slopes():
 
 
 def test_calibrate_missing_axis_reports_it():
-    pairs = make_pairs(40, axes=[0, 1, 2, 3, 5])
+    x, y = make_samples(40, axes=[0, 1, 2, 3, 5])
     with pytest.raises(UncoveredAxis, match="axis 4"):
-        calibrate(pairs, CalibrationConfig())
+        calibrate(x, y, CalibrationConfig())
+
+
+shapes = st.lists(st.integers(0, 8), max_size=3).map(tuple)
+
+
+@given(shapes, shapes)
+def test_calibrate_rejects_shapes_other_than_two_n_by_6(x_shape, y_shape):
+    if len(x_shape) == 2 and x_shape[1] == 6 and y_shape == x_shape:
+        y_shape = (x_shape[0] + 1, 6)
+    with pytest.raises(ValidationFailure, match=r"must both be \(n, 6\)"):
+        calibrate(np.zeros(x_shape), np.zeros(y_shape), CalibrationConfig())
 
 
 def test_report_round_trip():
-    report = calibrate(make_pairs(20), CalibrationConfig(seed=13))
+    report = calibrate(*make_samples(20), CalibrationConfig(seed=13))
     from ringsense.calibration import CalibrationReport
 
     again = CalibrationReport.from_dict(report.to_dict())

@@ -1,9 +1,13 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ringsense.cli import main
+from ringsense.cli import _read_sweep_csv, _write_sweep_csv, main
 
 REFERENCE_WRENCH_FLOOR = np.array([4.30, 4.22, 9.93, 0.32, 0.13, 8.55])
 
@@ -264,3 +268,93 @@ def test_malformed_frames_are_validation_errors(tmp_path, capsys, frame_row, cor
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{frames} line 3:" in err
+
+
+@pytest.fixture(scope="module")
+def sweep_rows(tmp_path_factory):
+    sim = tmp_path_factory.mktemp("sweep")
+    assert main(["simulate", "--samples-per-axis", "3", "--sigma", "0",
+                 "--seed", "4", "--out", str(sim), "--quiet"]) == 0
+    with (sim / "sweep.csv").open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("cells", [
+    {"fx": "abc"},
+    {"dly": ""},
+    {"fz": "nan", "dlz": "inf"},
+    {"dthy": "1.6"},
+], ids=["non_numeric", "empty", "nan_inf", "rotation_1_6_rad"])
+def test_malformed_sweep_csv_is_validation_error(tmp_path, capsys, sweep_rows, cells):
+    rows = [dict(r) for r in sweep_rows]
+    rows[3].update(cells)
+    data = tmp_path / "sweep.csv"
+    with data.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    rc = main(["calibrate", "--data", str(data), "--out", str(tmp_path / "calib.json"),
+               "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{data} line 5: bad sweep row:" in err
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+angle = st.floats(min_value=-np.pi / 2, max_value=np.pi / 2, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 20).flatmap(lambda n: st.tuples(
+    arrays(np.float64, (n, 6), elements=finite),
+    arrays(np.float64, (n, 3), elements=finite),
+    arrays(np.float64, (n, 3), elements=angle),
+)))
+def test_sweep_csv_round_trip(tmp_path, data):
+    wrenches, translations, rotations = data
+    deltas = np.hstack([translations, rotations])
+    n = len(wrenches)
+    path = tmp_path / "sweep.csv"
+    _write_sweep_csv(path, [i % 6 for i in range(n)], [float(i) for i in range(n)],
+                     wrenches, deltas)
+    x, y = _read_sweep_csv(path)
+    assert x.shape == y.shape == (n, 6)
+    np.testing.assert_array_equal(x, deltas)
+    np.testing.assert_array_equal(y, wrenches)
+
+
+def _without_pose(row):
+    row.pop("pose")
+    return row
+
+
+@pytest.mark.parametrize("corrupt", [
+    _without_pose,
+    lambda row: {**row, "iterations_used": "x"},
+    lambda row: {**row, "converged": "maybe"},
+], ids=["missing_pose", "non_integer_iterations", "non_boolean_converged"])
+def test_malformed_poses_are_validation_errors(tmp_path, capsys, pipeline_dir, corrupt):
+    rows = read_jsonl(pipeline_dir / "poses.jsonl")
+    rows[2] = corrupt(rows[2])
+    poses = tmp_path / "poses.jsonl"
+    poses.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    rc = main(["monitor", "--threshold", "0.5", "--frames", "12", "--poses", str(poses),
+               "--out", str(tmp_path / "episode.json"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{poses} line 3: bad pose row:" in err
+
+
+@pytest.mark.parametrize("flag", ["--start-joints", "--target-joints"])
+def test_non_numeric_joints_are_validation_errors(tmp_path, capsys, pipeline_dir, flag):
+    rc = main(["monitor", "--threshold", "0.5", "--frames", "12", flag, "a,b",
+               "--poses", str(pipeline_dir / "poses.jsonl"),
+               "--out", str(tmp_path / "episode.json"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and f"{flag} must be comma-separated numbers" in err

@@ -129,13 +129,14 @@ def test_end_to_end_zero_noise_calibration_matches_analytic_floor():
     # against 1/C_ii * pose_floor per component.
     compliance = default_compliance()
     diag = np.diag(compliance.compliance)
-    pairs = []
+    x, y = [], []
     for axis in range(6):
         limit = compliance.deformation_limit[axis] / diag[axis]
         for m in np.linspace(-0.7 * limit, 0.7 * limit, 40):
             wrench = Wrench.single_axis(axis, float(m))
-            pairs.append((deform(compliance, wrench), wrench))
-    report = calibrate(pairs, CalibrationConfig(seed=21))
+            x.append(deform(compliance, wrench).as_array())
+            y.append(wrench.as_array())
+    report = calibrate(np.array(x), np.array(y), CalibrationConfig(seed=21))
     result = analyze(DetectionParams(), report)
     analytic = pose_floor(DetectionParams()).as_array() / diag
     np.testing.assert_allclose(result.wrench_floor.as_array(), analytic, rtol=1e-4)
