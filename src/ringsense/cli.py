@@ -41,7 +41,7 @@ from .geometry import (
     delta_from_poses,
 )
 from .layout import TagLayout, default_layout
-from .pnp import CorrespondenceSet, PoseEstimate, estimate_pose
+from .pnp import CorrespondenceSet, PoseEstimate, estimate_pose, estimate_poses
 from .sensitivity import DetectionParams, analyze
 from .simulator import (
     NoiseModel,
@@ -263,19 +263,29 @@ def _cmd_simulate(args) -> int:
 
 # -------------------------------------------------------------- estimate
 
+def _solver_summary(estimates: list[PoseEstimate]) -> str:
+    not_converged = sum(not e.converged for e in estimates)
+    iterations = sum(e.iterations_used for e in estimates) / max(len(estimates), 1)
+    return f"{not_converged} not converged, {iterations:.2f} LM iterations per frame"
+
+
 def _cmd_estimate(args) -> int:
     camera = _load_camera(args.camera)
-    out_rows = []
-    previous = None
     frames = _load_jsonl(Path(args.frames), lambda row: (row["frame"], _corrs_from_row(row)),
                          "frame")
-    for frame, corrs in frames:
-        estimate = estimate_pose(camera, corrs, allow_single_tag=args.allow_single_tag,
-                                 init=previous if args.warm_start else None)
-        previous = estimate.pose
-        out_rows.append({"frame": frame, **estimate.to_dict()})
-    _dump_jsonl(Path(args.out), out_rows)
-    _info(args, f"estimated {len(out_rows)} poses to {args.out}")
+    if args.warm_start:
+        # Each frame starts from the previous frame's pose, so frames go one by one.
+        estimates, previous = [], None
+        for _, corrs in frames:
+            estimates.append(estimate_pose(camera, corrs, allow_single_tag=args.allow_single_tag,
+                                           init=previous))
+            previous = estimates[-1].pose
+    else:
+        estimates = estimate_poses(camera, [corrs for _, corrs in frames],
+                                   allow_single_tag=args.allow_single_tag)
+    _dump_jsonl(Path(args.out), ({"frame": frame, **estimate.to_dict()}
+                                 for (frame, _), estimate in zip(frames, estimates)))
+    _info(args, f"estimated {len(estimates)} poses to {args.out}; {_solver_summary(estimates)}")
     return 0
 
 
@@ -413,15 +423,14 @@ def _cmd_pipeline(args) -> int:
     axes, magnitudes, wrenches = _write_simulation(out_dir, samples)
     _info(args, f"simulated {len(samples)} frames")
 
-    pose_rows = []
-    deltas = np.empty((len(samples), 6))
-    for i, sample in enumerate(samples):
-        estimate = _stage("estimate", estimate_pose, camera, sample.correspondences)
-        pose_rows.append({"frame": i, **estimate.to_dict()})
-        deltas[i] = delta_from_poses(reference, estimate.pose).as_array()
-    _dump_jsonl(out_dir / "poses.jsonl", pose_rows)
+    estimates = _stage("estimate", estimate_poses, camera,
+                       [s.correspondences for s in samples])
+    _dump_jsonl(out_dir / "poses.jsonl",
+                ({"frame": i, **e.to_dict()} for i, e in enumerate(estimates)))
+    deltas = np.array([delta_from_poses(reference, e.pose).as_array()
+                       for e in estimates]).reshape(-1, 6)
     _write_sweep_csv(out_dir / "sweep_estimated.csv", axes, magnitudes, wrenches, deltas)
-    _info(args, f"estimated {len(pose_rows)} poses")
+    _info(args, f"estimated {len(estimates)} poses; {_solver_summary(estimates)}")
 
     report = _stage("calibrate", calibrate, deltas, wrenches, CalibrationConfig(
         degree=args.degree, split_fraction=args.split,

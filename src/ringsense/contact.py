@@ -61,8 +61,8 @@ class ContactConfig:
     debounce_frames: int = 1
 
     def __post_init__(self) -> None:
-        if self.threshold_mm <= 0:
-            raise ValidationFailure("threshold_mm must be positive")
+        if not 0 < self.threshold_mm < np.inf:
+            raise ValidationFailure("threshold_mm must be finite and positive")
         if self.total_frames < 1 or self.debounce_frames < 1:
             raise ValidationFailure("total_frames and debounce_frames must be >= 1")
 

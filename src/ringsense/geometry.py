@@ -238,11 +238,11 @@ class NormalMatrix6:
 
 
 def _pinhole(camera: PinholeCamera, pts: np.ndarray) -> np.ndarray:
-    """Pinhole projection of (n, 3) camera-frame points with z > 0 to (n, 2) pixels."""
-    z = pts[:, 2]
-    uv = np.empty((pts.shape[0], 2))
-    uv[:, 0] = camera.fx * pts[:, 0] / z + camera.cx
-    uv[:, 1] = camera.fy * pts[:, 1] / z + camera.cy
+    """Pinhole projection of (..., 3) camera-frame points with z > 0 to (..., 2) pixels."""
+    z = pts[..., 2]
+    uv = np.empty(pts.shape[:-1] + (2,))
+    uv[..., 0] = camera.fx * pts[..., 0] / z + camera.cx
+    uv[..., 1] = camera.fy * pts[..., 1] / z + camera.cy
     return uv
 
 

@@ -16,6 +16,12 @@ stages:
      exponential-map increment onto the left of the current rotation, which
      avoids Euler singularities inside the solver.
 
+Both stages take a sequence of frames. Frames with equal corner counts are
+solved together, in chunks of up to ``CHUNK_FRAMES`` stacked into (B, n, ...)
+arrays; a chunk of one frame runs the per-frame code, which is also the
+reference the batched code is tested against. A batched estimate matches
+the per-frame one to rounding, not bit for bit.
+
 Solvers are pure functions of their inputs; identical inputs give
 bit-identical estimates. There is no outlier rejection: correspondences
 carry known associations (simulated or id-decoded), so every entry enters
@@ -26,6 +32,7 @@ input with association errors.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,12 +41,15 @@ from .errors import (
     BehindCamera,
     DegenerateConfiguration,
     NonPositiveDepth,
+    RingSenseError,
     TooFewTagsVisible,
     ValidationFailure,
 )
 from .geometry import PinholeCamera, RigidTransform, _pinhole
 
 _PLANAR_TOL = 1e-7
+# Frames solved together: bounds the stacked arrays, and so the memory, of one chunk.
+CHUNK_FRAMES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,47 +183,67 @@ def _so3_exp(phi: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * k + b * (k @ k)
 
 
+def _so3_exp_many(phi: np.ndarray) -> np.ndarray:
+    """``_so3_exp`` of each row of a (B, 3) stack of increments, (B, 3, 3)."""
+    angle = np.sqrt((phi * phi).sum(axis=1))
+    k = np.zeros((phi.shape[0], 3, 3))
+    k[:, 0, 1], k[:, 0, 2] = -phi[:, 2], phi[:, 1]
+    k[:, 1, 0], k[:, 1, 2] = phi[:, 2], -phi[:, 0]
+    k[:, 2, 0], k[:, 2, 1] = -phi[:, 1], phi[:, 0]
+    small = angle < 1e-12
+    safe = np.where(small, 1.0, angle)
+    a = np.where(small, 1.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
+    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
+
+
 def _orthonormalize(r: np.ndarray) -> np.ndarray:
-    """Nearest proper rotation (polar decomposition via SVD)."""
+    """Nearest proper rotation of each (..., 3, 3) matrix (polar
+    decomposition via SVD)."""
     u, _, vt = np.linalg.svd(r)
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
 
 
 def _residuals(camera, rotation, translation, ref, img):
-    """Stacked residual vector (projected - observed), or None if any point
-    lands at non-positive depth."""
-    pts_cam = ref @ rotation.T + translation
-    if np.any(pts_cam[:, 2] <= 0):
-        return None
-    return (_pinhole(camera, pts_cam) - img).ravel()
+    """Residuals (projected - observed) of each frame, shape (..., 2n), and
+    whether each frame has no point at non-positive depth.
+
+    Shapes: rotation (..., 3, 3), translation (..., 3), ref (..., n, 3),
+    img (..., n, 2).
+    """
+    pts_cam = ref @ np.swapaxes(rotation, -1, -2) + translation[..., None, :]
+    ahead = ~np.any(pts_cam[..., 2] <= 0, axis=-1)
+    r = _pinhole(camera, pts_cam) - img
+    return r.reshape(r.shape[:-2] + (-1,)), ahead
 
 
 def _jacobian_block(camera, rotation, translation, ref):
-    """Jacobian of all residuals w.r.t. the local twist [drho; dphi], (2n, 6)."""
-    pts_cam = ref @ rotation.T + translation
-    n = ref.shape[0]
-    x, y, z = pts_cam[:, 0], pts_cam[:, 1], pts_cam[:, 2]
+    """Jacobian of each frame's residuals w.r.t. its local twist
+    [drho; dphi], shape (..., 2n, 6); shapes as in ``_residuals``."""
+    pts_cam = ref @ np.swapaxes(rotation, -1, -2) + translation[..., None, :]
+    x, y, z = pts_cam[..., 0], pts_cam[..., 1], pts_cam[..., 2]
     if np.any(z <= 0):
         raise NonPositiveDepth("transformed point has non-positive depth")
-    # d(uv)/d(p_cam)
-    duv = np.zeros((n, 2, 3))
-    duv[:, 0, 0] = camera.fx / z
-    duv[:, 0, 2] = -camera.fx * x / (z * z)
-    duv[:, 1, 1] = camera.fy / z
-    duv[:, 1, 2] = -camera.fy * y / (z * z)
-    # d(p_cam)/d(twist): identity for drho, -[R X]_x for dphi (left increment
-    # applied to the rotation only, translation updated additively).
-    rx = pts_cam - translation
-    dp = np.zeros((n, 3, 6))
-    dp[:, 0, 0] = dp[:, 1, 1] = dp[:, 2, 2] = 1.0
-    dp[:, 0, 4] = rx[:, 2]
-    dp[:, 0, 5] = -rx[:, 1]
-    dp[:, 1, 3] = -rx[:, 2]
-    dp[:, 1, 5] = rx[:, 0]
-    dp[:, 2, 3] = rx[:, 1]
-    dp[:, 2, 4] = -rx[:, 0]
-    return np.einsum("nij,njk->nik", duv, dp).reshape(2 * n, 6)
+    # Chain rule d(uv)/d(p_cam) @ d(p_cam)/d(twist), written out entry by
+    # entry. d(p_cam)/d(twist) is the identity for drho and -[R X]_x for
+    # dphi (left increment applied to the rotation only, translation
+    # updated additively).
+    du_dx, du_dz = camera.fx / z, -camera.fx * x / (z * z)
+    dv_dy, dv_dz = camera.fy / z, -camera.fy * y / (z * z)
+    rx = pts_cam - translation[..., None, :]
+    jac = np.zeros(z.shape + (2, 6))
+    jac[..., 0, 0] = du_dx
+    jac[..., 0, 2] = du_dz
+    jac[..., 0, 3] = du_dz * rx[..., 1]
+    jac[..., 0, 4] = du_dx * rx[..., 2] - du_dz * rx[..., 0]
+    jac[..., 0, 5] = -du_dx * rx[..., 1]
+    jac[..., 1, 1] = dv_dy
+    jac[..., 1, 2] = dv_dz
+    jac[..., 1, 3] = -dv_dy * rx[..., 2] + dv_dz * rx[..., 1]
+    jac[..., 1, 4] = -dv_dz * rx[..., 0]
+    jac[..., 1, 5] = dv_dy * rx[..., 0]
+    return jac.reshape(z.shape[:-1] + (-1, 6))
 
 
 def jacobian_reprojection(
@@ -229,38 +259,48 @@ def jacobian_reprojection(
     return _jacobian_block(camera, pose.rotation, pose.translation, ref)[:2]
 
 
-def refine_lm(
-    camera: PinholeCamera,
-    corrs: CorrespondenceSet,
-    init: RigidTransform,
-    config: SolverConfig = SolverConfig(),
-) -> PoseEstimate:
-    """Minimize the reprojection cost from ``init`` by Levenberg-Marquardt.
+def _chunks(frames: Sequence[CorrespondenceSet]):
+    """Frame indices grouped by corner count, in chunks of at most
+    ``CHUNK_FRAMES``; input order is kept within a chunk."""
+    groups: dict[int, list[int]] = {}
+    for i, corrs in enumerate(frames):
+        groups.setdefault(len(corrs), []).append(i)
+    for indices in groups.values():
+        for start in range(0, len(indices), CHUNK_FRAMES):
+            yield indices[start:start + CHUNK_FRAMES]
 
-    Accepted costs are non-increasing; convergence is declared when the
-    relative cost decrease drops below ``cost_tolerance`` or the step norm
-    below ``step_tolerance``. Hitting ``max_iterations`` returns the best
-    pose so far with ``converged=False`` rather than raising.
-    """
-    ref, img = corrs.ref, corrs.img
-    n = ref.shape[0]
+
+def _estimate(rotation, translation, cost, n, iterations, converged, trace) -> PoseEstimate:
+    return PoseEstimate(
+        pose=RigidTransform(rotation, translation),
+        rms_reprojection_error=math.sqrt(cost / (2 * n)),
+        iterations_used=iterations,
+        converged=converged,
+        cost_trace=tuple(trace),
+    )
+
+
+def _refine_frame(camera, ref, img, init: RigidTransform, config: SolverConfig) -> PoseEstimate:
+    """Levenberg-Marquardt on one frame; the reference for ``_refine_chunk``."""
     rotation = init.rotation.copy()
     translation = init.translation.copy()
 
-    r = _residuals(camera, rotation, translation, ref, img)
-    if r is None:
+    r, ahead = _residuals(camera, rotation, translation, ref, img)
+    if not ahead:
         raise NonPositiveDepth("initial pose places points behind the camera")
     cost = float(r @ r)
     trace = [cost]
     lam = config.initial_damping
     converged = False
     iterations = 0
+    h = None  # J^T J at the current pose; a rejected step keeps it
 
     while iterations < config.max_iterations:
         iterations += 1
-        jac = _jacobian_block(camera, rotation, translation, ref)
-        h = jac.T @ jac
-        g = jac.T @ r
+        if h is None:
+            jac = _jacobian_block(camera, rotation, translation, ref)
+            h = jac.T @ jac
+            g = jac.T @ r
         try:
             step = np.linalg.solve(h + lam * np.eye(6), -g)
         except np.linalg.LinAlgError:
@@ -268,12 +308,13 @@ def refine_lm(
             continue
         cand_rot = _so3_exp(step[3:]) @ rotation
         cand_t = translation + step[:3]
-        cand_r = _residuals(camera, cand_rot, cand_t, ref, img)
-        cand_cost = float(cand_r @ cand_r) if cand_r is not None else math.inf
+        cand_r, ahead = _residuals(camera, cand_rot, cand_t, ref, img)
+        cand_cost = float(cand_r @ cand_r) if ahead else math.inf
         if cand_cost < cost:
             rel_decrease = (cost - cand_cost) / max(cost, 1e-300)
             rotation, translation, r, cost = cand_rot, cand_t, cand_r, cand_cost
             trace.append(cost)
+            h = None
             lam *= config.damping_down
             if rel_decrease < config.cost_tolerance or float(np.linalg.norm(step)) < config.step_tolerance:
                 converged = True
@@ -284,28 +325,113 @@ def refine_lm(
                 converged = True
                 break
 
-    pose = RigidTransform(_orthonormalize(rotation), translation)
-    return PoseEstimate(
-        pose=pose,
-        rms_reprojection_error=math.sqrt(cost / (2 * n)),
-        iterations_used=iterations,
-        converged=converged,
-        cost_trace=tuple(trace),
-    )
+    return _estimate(_orthonormalize(rotation), translation, cost, ref.shape[0],
+                     iterations, converged, trace)
 
 
-def epnp_initialize(camera: PinholeCamera, corrs: CorrespondenceSet) -> RigidTransform:
-    """Closed-form pose estimate from the correspondence set.
+def _refine_chunk(camera, ref, img, rotation, translation,
+                  config: SolverConfig) -> list[PoseEstimate]:
+    """``_refine_frame`` on B frames at once: ref (B, n, 3), img (B, n, 2)
+    and initial poses rotation (B, 3, 3), translation (B, 3).
 
-    Handles the planar case (always true for the tag plate) with three
-    control points and a 9x9 null-space system; non-planar input uses four
-    control points and the 12x12 system.
+    Every frame keeps its own damping, accept/reject decisions and cost
+    trace. The frames share one iteration counter; a frame leaves the chunk
+    when it converges or the counter reaches ``max_iterations``, and its
+    normal equations are rebuilt only after it accepts a step.
+    """
+    b, n = ref.shape[:2]
+    r, ahead = _residuals(camera, rotation, translation, ref, img)
+    if not ahead.all():
+        raise NonPositiveDepth("initial pose places points behind the camera")
+    cost = (r * r).sum(axis=1)
+    traces = [[c] for c in cost.tolist()]
+    lam = np.full(b, config.initial_damping)
+    ids = np.arange(b)  # input position of each row still in the chunk
+    stale = np.ones(b, dtype=bool)  # rows whose pose moved since h, g were built
+    h, g = np.empty((b, 6, 6)), np.empty((b, 6))
+    out: list[PoseEstimate | None] = [None] * b
+
+    for iteration in range(1, config.max_iterations + 1):
+        if stale.any():
+            jac = _jacobian_block(camera, rotation[stale], translation[stale], ref[stale])
+            jac_t = jac.swapaxes(1, 2)
+            h[stale] = jac_t @ jac
+            g[stale] = (jac_t @ r[stale][..., None])[..., 0]
+        step = np.linalg.solve(h + lam[:, None, None] * np.eye(6), -g[..., None])[..., 0]
+        cand_rot = _so3_exp_many(step[:, 3:]) @ rotation
+        cand_t = translation + step[:, :3]
+        cand_r, ahead = _residuals(camera, cand_rot, cand_t, ref, img)
+        cand_cost = np.where(ahead, (cand_r * cand_r).sum(axis=1), np.inf)
+        accept = cand_cost < cost
+        rel_decrease = (cost - cand_cost) / np.maximum(cost, 1e-300)
+        converged = (np.linalg.norm(step, axis=1) < config.step_tolerance) | (
+            accept & (rel_decrease < config.cost_tolerance))
+
+        rotation = np.where(accept[:, None, None], cand_rot, rotation)
+        translation = np.where(accept[:, None], cand_t, translation)
+        r = np.where(accept[:, None], cand_r, r)
+        cost = np.where(accept, cand_cost, cost)
+        lam = lam * np.where(accept, config.damping_down, config.damping_up)
+        stale = accept
+        for i in np.flatnonzero(accept).tolist():
+            traces[ids[i]].append(float(cost[i]))
+
+        leave = converged if iteration < config.max_iterations else np.ones(len(ids), dtype=bool)
+        if leave.any():
+            for i, rot in zip(np.flatnonzero(leave).tolist(), _orthonormalize(rotation[leave])):
+                out[ids[i]] = _estimate(rot, translation[i], float(cost[i]), n, iteration,
+                                        bool(converged[i]), traces[ids[i]])
+            keep = ~leave
+            if not keep.any():
+                break
+            ids, ref, img, rotation, translation, r, cost, lam, stale, h, g = (
+                a[keep] for a in (ids, ref, img, rotation, translation, r, cost, lam, stale, h, g))
+    return out
+
+
+def refine_lm(
+    camera: PinholeCamera,
+    frames: Sequence[CorrespondenceSet],
+    inits: Sequence[RigidTransform],
+    config: SolverConfig = SolverConfig(),
+) -> list[PoseEstimate]:
+    """Minimize each frame's reprojection cost from its initial pose by
+    Levenberg-Marquardt; one estimate per frame, in input order.
+
+    Accepted costs are non-increasing; convergence is declared when the
+    relative cost decrease drops below ``cost_tolerance`` or the step norm
+    below ``step_tolerance``. Hitting ``max_iterations`` returns the best
+    pose so far with ``converged=False`` rather than raising. Frames of
+    equal corner count are solved together in chunks of up to
+    ``CHUNK_FRAMES``; a chunk of one frame runs the per-frame loop.
 
     Raises:
-        DegenerateConfiguration: fewer than 4 points, or collinear points.
-        BehindCamera: no sign choice places the points at positive depth.
+        NonPositiveDepth: an initial pose places points behind the camera.
     """
-    ref, img = corrs.ref, corrs.img
+    if len(frames) != len(inits):
+        raise ValidationFailure(f"{len(frames)} frames but {len(inits)} initial poses")
+    out: list[PoseEstimate | None] = [None] * len(frames)
+    for idx in _chunks(frames):
+        found = None
+        if len(idx) > 1:
+            try:
+                found = _refine_chunk(
+                    camera, np.stack([frames[i].ref for i in idx]),
+                    np.stack([frames[i].img for i in idx]),
+                    np.stack([inits[i].rotation for i in idx]),
+                    np.stack([inits[i].translation for i in idx]), config)
+            except np.linalg.LinAlgError:
+                pass  # a singular damped system: the per-frame loop raises the damping instead
+        if found is None:
+            found = [_refine_frame(camera, frames[i].ref, frames[i].img, inits[i], config)
+                     for i in idx]
+        for i, estimate in zip(idx, found):
+            out[i] = estimate
+    return out
+
+
+def _epnp_frame(camera, ref, img) -> RigidTransform:
+    """Closed-form pose of one frame; the reference for ``_epnp_chunk``."""
     n = ref.shape[0]
     if n < 4:
         raise DegenerateConfiguration(f"need at least 4 points, got {n}")
@@ -376,21 +502,95 @@ def epnp_initialize(camera: PinholeCamera, corrs: CorrespondenceSet) -> RigidTra
     return RigidTransform(_orthonormalize(rotation), translation)
 
 
-def estimate_pose(
-    camera: PinholeCamera,
-    corrs: CorrespondenceSet,
-    config: SolverConfig = SolverConfig(),
-    allow_single_tag: bool = False,
-    init: RigidTransform | None = None,
-) -> PoseEstimate:
-    """Full pipeline: EPnP initialization then LM refinement.
+def _epnp_chunk(camera, ref, img) -> list[RigidTransform] | None:
+    """``_epnp_frame`` on B planar frames at once, ref (B, n, 3) and
+    img (B, n, 2); None if any frame is not planar."""
+    b, n = ref.shape[:2]
+    if n < 4:
+        raise DegenerateConfiguration(f"need at least 4 points, got {n}")
+    centroid = ref.mean(axis=1)
+    centered = ref - centroid[:, None]
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    if np.any(s[:, 1] <= 1e-9 * np.maximum(s[:, 0], 1e-300)):
+        raise DegenerateConfiguration("reference points are collinear")
+    if np.any(s[:, 2] > _PLANAR_TOL * s[:, 0]):
+        return None
 
-    Standard mode requires at least 2 tags (8 corners); pass
-    ``allow_single_tag=True`` for the degraded 1-tag (4-corner) mode, which
-    is solvable but jitter-prone. A given ``init`` pose (e.g. the previous
-    frame's estimate) replaces the EPnP initialization; the tag and corner
-    minimums apply either way.
+    # Control points: centroid plus the two in-plane principal directions.
+    # Those directions are orthonormal, so the barycentric coordinates are
+    # projections onto them.
+    scale = s[:, :2] / math.sqrt(n)
+    axes = vt[:, :2]  # (B, 2, 3)
+    ctrl_world = np.concatenate([centroid[:, None], centroid[:, None] + scale[..., None] * axes],
+                                axis=1)  # (B, 3, 3)
+    coords = (centered @ axes.swapaxes(1, 2)) / scale[:, None]  # (B, n, 2)
+    alphas = np.concatenate([1.0 - coords.sum(axis=2, keepdims=True), coords], axis=2)
+
+    m = np.zeros((b, n, 2, 9))
+    m[:, :, 0, 0::3] = alphas * camera.fx
+    m[:, :, 0, 2::3] = alphas * (camera.cx - img[..., 0:1])
+    m[:, :, 1, 1::3] = alphas * camera.fy
+    m[:, :, 1, 2::3] = alphas * (camera.cy - img[..., 1:2])
+    m = m.reshape(b, 2 * n, 9)
+    _, vecs = np.linalg.eigh(m.swapaxes(1, 2) @ m)
+    ctrl_cam = vecs[:, :, 0].reshape(b, 3, 3)
+
+    # Fix scale by least-squares matching of inter-control-point distances.
+    first, second = [0, 0, 1], [1, 2, 2]
+    dc = np.linalg.norm(ctrl_cam[:, first] - ctrl_cam[:, second], axis=2)
+    dw = np.linalg.norm(ctrl_world[:, first] - ctrl_world[:, second], axis=2)
+    den = (dc * dc).sum(axis=1)
+    if np.any(den <= 0):
+        raise DegenerateConfiguration("null-space control points collapsed to a point")
+    pts_cam = alphas @ (ctrl_cam * ((dc * dw).sum(axis=1) / den)[:, None, None])
+
+    # Positive-depth voting resolves the eigenvector sign.
+    z = pts_cam[..., 2]
+    flip = (z > 0).sum(axis=1) < (z < 0).sum(axis=1)
+    pts_cam = np.where(flip[:, None, None], -pts_cam, pts_cam)
+    if np.any(pts_cam[..., 2] <= 0):
+        raise BehindCamera("no sign choice places all points at positive depth")
+
+    # Orthogonal Procrustes: R, t minimizing ||pts_cam - (R ref + t)||.
+    mu_c = pts_cam.mean(axis=1)
+    h = centered.swapaxes(1, 2) @ (pts_cam - mu_c[:, None])
+    uu, _, vvt = np.linalg.svd(h)
+    v, u_t = vvt.swapaxes(1, 2), uu.swapaxes(1, 2)
+    v[..., 2] *= np.sign(np.linalg.det(v @ u_t))[:, None]
+    rotation = v @ u_t
+    translation = mu_c - (rotation @ centroid[..., None])[..., 0]
+    return [RigidTransform(rot, t) for rot, t in zip(_orthonormalize(rotation), translation)]
+
+
+def epnp_initialize(
+    camera: PinholeCamera, frames: Sequence[CorrespondenceSet]
+) -> list[RigidTransform]:
+    """Closed-form pose estimate of each frame, in input order.
+
+    Handles the planar case (always true for the tag plate) with three
+    control points and a 9x9 null-space system; non-planar input uses four
+    control points and the 12x12 system. Planar frames of equal corner
+    count are solved together in chunks of up to ``CHUNK_FRAMES``; a chunk
+    of one frame, or one holding a non-planar frame, runs frame by frame.
+
+    Raises:
+        DegenerateConfiguration: fewer than 4 points, or collinear points.
+        BehindCamera: no sign choice places the points at positive depth.
     """
+    out: list[RigidTransform | None] = [None] * len(frames)
+    for idx in _chunks(frames):
+        found = None
+        if len(idx) > 1:
+            found = _epnp_chunk(camera, np.stack([frames[i].ref for i in idx]),
+                                np.stack([frames[i].img for i in idx]))
+        if found is None:
+            found = [_epnp_frame(camera, frames[i].ref, frames[i].img) for i in idx]
+        for i, pose in zip(idx, found):
+            out[i] = pose
+    return out
+
+
+def _check_visible(corrs: CorrespondenceSet, allow_single_tag: bool) -> None:
     min_tags = 1 if allow_single_tag else 2
     min_entries = 4 if allow_single_tag else 8
     if corrs.tag_count < min_tags or len(corrs) < min_entries:
@@ -398,6 +598,46 @@ def estimate_pose(
             f"{corrs.tag_count} tag(s) / {len(corrs)} corner(s); standard mode "
             f"needs >= 2 tags and 8 corners"
         )
+
+
+def estimate_pose(
+    camera: PinholeCamera,
+    corrs: CorrespondenceSet,
+    config: SolverConfig = SolverConfig(),
+    allow_single_tag: bool = False,
+    init: RigidTransform | None = None,
+) -> PoseEstimate:
+    """Full pipeline on one frame: EPnP initialization then LM refinement.
+
+    Standard mode requires at least 2 tags (8 corners); pass
+    ``allow_single_tag=True`` for the degraded 1-tag (4-corner) mode, which
+    is solvable but jitter-prone. A given ``init`` pose (e.g. the previous
+    frame's estimate) replaces the EPnP initialization; the tag and corner
+    minimums apply either way.
+    """
+    _check_visible(corrs, allow_single_tag)
     if init is None:
-        init = epnp_initialize(camera, corrs)
-    return refine_lm(camera, corrs, init, config)
+        [init] = epnp_initialize(camera, [corrs])
+    [estimate] = refine_lm(camera, [corrs], [init], config)
+    return estimate
+
+
+def estimate_poses(
+    camera: PinholeCamera,
+    frames: Sequence[CorrespondenceSet],
+    config: SolverConfig = SolverConfig(),
+    allow_single_tag: bool = False,
+) -> list[PoseEstimate]:
+    """``estimate_pose`` of every frame, in input order, solved in chunks.
+
+    Raises what ``estimate_pose`` raises for the first frame, in input
+    order, that it rejects.
+    """
+    try:
+        for corrs in frames:
+            _check_visible(corrs, allow_single_tag)
+        return refine_lm(camera, frames, epnp_initialize(camera, frames), config)
+    except RingSenseError:
+        # Chunks do not run in input order, and the tag gate runs ahead of
+        # every solve: frame by frame, the first bad frame raises.
+        return [estimate_pose(camera, corrs, config, allow_single_tag) for corrs in frames]

@@ -140,8 +140,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.corner_sigma < 0:
-            raise ValidationFailure("corner_sigma must be non-negative")
+        if not 0 <= self.corner_sigma < np.inf:
+            raise ValidationFailure("corner_sigma must be finite and non-negative")
         if not 0.0 <= self.occlusion_probability < 1.0:
             raise ValidationFailure("occlusion_probability must be in [0, 1)")
 
@@ -255,6 +255,8 @@ def axis_magnitudes(
     """Symmetric magnitude grid filling ``span_fraction`` of the linear range."""
     if not 0 < span_fraction <= 1:
         raise ValidationFailure("span_fraction must be in (0, 1]")
+    if count < 0:
+        raise ValidationFailure(f"sample count must be non-negative, got {count}")
     col = np.abs(compliance.compliance[:, axis])
     active = col > 0
     limit = np.min(compliance.deformation_limit[active] / col[active])

@@ -84,17 +84,20 @@ def test_simulate_deterministic_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_estimate_converges_on_simulated_frames(tmp_path):
+def test_estimate_converges_on_simulated_frames(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert main(["simulate", "--axis", "1", "--samples-per-axis", "6",
                  "--seed", "5", "--out", str(sim), "--quiet"]) == 0
     poses = tmp_path / "poses.jsonl"
     assert main(["estimate", "--frames", str(sim / "frames.jsonl"),
-                 "--out", str(poses), "--quiet"]) == 0
+                 "--out", str(poses)]) == 0
     rows = read_jsonl(poses)
     assert len(rows) == 6
     assert all(r["converged"] for r in rows)
     assert all(r["rms_reprojection_error"] < 1.0 for r in rows)
+    mean_iterations = sum(r["iterations_used"] for r in rows) / 6
+    assert (f"0 not converged, {mean_iterations:.2f} LM iterations per frame"
+            in capsys.readouterr().err)
 
 
 def test_estimate_warm_start(tmp_path):
@@ -206,6 +209,49 @@ def test_degenerate_frames_are_numerical_failure(tmp_path, capsys):
                "--out", str(tmp_path / "poses.jsonl"), "--quiet"])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("degenerate_first, expected_rc", [(True, 2), (False, 1)])
+def test_first_bad_frame_sets_the_exit_code(tmp_path, capsys, frame_row, degenerate_first,
+                                            expected_rc):
+    # Two tags on one line pass the tag gate but not EPnP (exit 2); one tag
+    # fails the gate (exit 1). Whichever comes first in the file decides.
+    collinear = {"frame": 1, "timestamp_s": 0.02, "entries": [
+        {"tag_id": i // 4, "corner": i % 4, "ref_mm": [float(i), 0.0, 0.0],
+         "img_px": [10.0 + i, 20.0]} for i in range(8)]}
+    one_tag = {**frame_row, "frame": 2, "entries": frame_row["entries"][:4]}
+    bad = [collinear, one_tag] if degenerate_first else [one_tag, collinear]
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text("".join(json.dumps(row) + "\n" for row in [frame_row, *bad, frame_row]))
+    rc = main(["estimate", "--frames", str(frames),
+               "--out", str(tmp_path / "poses.jsonl"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == expected_rc
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--samples-per-axis", "-1"],
+    ["pipeline", "--samples-per-axis", "-1"],
+    ["simulate", "--sigma", "nan"],
+    ["pipeline", "--sigma", "nan"],
+    ["monitor", "--threshold", "nan", "--frames", "12", "--poses", "{poses}"],
+], ids=["simulate_negative_count", "pipeline_negative_count", "simulate_nan_sigma",
+        "pipeline_nan_sigma", "monitor_nan_threshold"])
+def test_out_of_range_options_are_validation_errors(tmp_path, capsys, pipeline_dir, argv):
+    argv = [a.format(poses=pipeline_dir / "poses.jsonl") for a in argv]
+    rc = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_zero_samples_writes_empty_data(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--samples-per-axis", "0", "--out", str(out), "--quiet"]) == 0
+    assert (out / "frames.jsonl").read_text() == ""
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1
 
 
 def test_missing_input_file_is_io_failure(tmp_path, capsys):

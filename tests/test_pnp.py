@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringsense import pnp
 from ringsense.errors import (
     DegenerateConfiguration,
     NonPositiveDepth,
@@ -17,6 +20,7 @@ from ringsense.pnp import (
     SolverConfig,
     epnp_initialize,
     estimate_pose,
+    estimate_poses,
     jacobian_reprojection,
     refine_lm,
 )
@@ -65,7 +69,7 @@ def test_epnp_collinear_points_degenerate(camera):
         ref=np.column_stack([i, np.zeros(8), np.zeros(8)]),
         img=np.column_stack([100.0 + 5.0 * i, np.full(8, 90.0)]))
     with pytest.raises(DegenerateConfiguration):
-        epnp_initialize(camera, corrs)
+        epnp_initialize(camera, [corrs])
 
 
 def test_epnp_too_few_points(camera):
@@ -75,7 +79,7 @@ def test_epnp_too_few_points(camera):
         ref=np.column_stack([i, i % 2, np.zeros(3)]),
         img=np.column_stack([np.full(3, 100.0), 90.0 + i]))
     with pytest.raises(DegenerateConfiguration):
-        epnp_initialize(camera, corrs)
+        epnp_initialize(camera, [corrs])
 
 
 def test_epnp_only_rms_under_noise(camera, layout):
@@ -86,7 +90,7 @@ def test_epnp_only_rms_under_noise(camera, layout):
     for _ in range(500):
         pose = random_pose(rng)
         corrs = jitter(project_layout(camera, layout, pose), 0.25, rng)
-        init = epnp_initialize(camera, corrs)
+        [init] = epnp_initialize(camera, [corrs])
         worst = max(worst, reprojection_rms(camera, corrs, init))
     assert worst < 2.0
 
@@ -103,7 +107,7 @@ def test_epnp_inconsistent_correspondences_behind_camera(camera):
     corrs = CorrespondenceSet(tag_ids=np.arange(n) // 4, corner_idx=np.arange(n) % 4,
                               ref=ref, img=img)
     with pytest.raises(BehindCamera):
-        epnp_initialize(camera, corrs)
+        epnp_initialize(camera, [corrs])
 
 
 def test_epnp_handles_tilted_plane(camera, layout):
@@ -141,7 +145,7 @@ def test_epnp_non_planar_points(camera):
 
 def test_refine_at_ground_truth_converges_immediately(camera, layout, reference_pose):
     corrs = project_layout(camera, layout, reference_pose)
-    est = refine_lm(camera, corrs, reference_pose)
+    [est] = refine_lm(camera, [corrs], [reference_pose])
     assert est.converged
     assert est.iterations_used <= 2
     assert est.rms_reprojection_error < 1e-9
@@ -156,7 +160,7 @@ def test_refine_recovers_from_perturbed_init(camera, layout):
             pose.rotation @ rotation_from_euler_xyz(0.05, -0.05, 0.05),
             pose.translation + np.array([0.5, -0.5, 0.5]),
         )
-        est = refine_lm(camera, corrs, init)
+        [est] = refine_lm(camera, [corrs], [init])
         assert est.converged
         assert np.max(np.abs(est.pose.translation - pose.translation)) < 1e-7
         assert rotation_angle(est.pose.rotation.T @ pose.rotation) < 1e-9
@@ -196,10 +200,55 @@ def test_refine_reports_non_convergence_instead_of_raising(camera, layout, refer
         reference_pose.rotation @ rotation_from_euler_xyz(0.1, 0.1, 0.1),
         reference_pose.translation + np.array([0.8, -0.8, 0.8]),
     )
-    est = refine_lm(camera, corrs, far, config)
+    [est] = refine_lm(camera, [corrs], [far], config)
     assert not est.converged
     assert est.iterations_used == 1
     assert est.cost_trace[-1] <= est.cost_trace[0]
+
+
+def test_rejected_step_reuses_the_jacobian(camera, layout, monkeypatch):
+    # A rejected step leaves the pose unchanged, so the Jacobian is built
+    # once at the initial pose and once after each accepted step at most.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return jacobian_block(*args)
+
+    jacobian_block = pnp._jacobian_block
+    monkeypatch.setattr(pnp, "_jacobian_block", counted)
+    rng = np.random.default_rng(12)
+    rejected = 0
+    for _ in range(40):
+        corrs = jitter(project_layout(camera, layout, random_pose(rng)), 0.25, rng)
+        calls.clear()
+        est = estimate_pose(camera, corrs)
+        rejected += est.iterations_used - (len(est.cost_trace) - 1)
+        assert len(calls) <= len(est.cost_trace)
+    assert rejected > 0
+
+
+def test_singular_batch_falls_back_to_frame_by_frame(camera, layout, monkeypatch):
+    # np.linalg.solve raises on an exactly singular system; the per-frame
+    # loop answers that by raising the damping, so a chunk that hits it is
+    # re-solved frame by frame.
+    rng = np.random.default_rng(13)
+    frames = [jitter(project_layout(camera, layout, random_pose(rng)), 0.25, rng)
+              for _ in range(3)]
+    inits = epnp_initialize(camera, frames)
+    expected = [refine_lm(camera, [corrs], [init])[0] for corrs, init in zip(frames, inits)]
+    solve = np.linalg.solve
+
+    def singular_when_stacked(a, b):
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_when_stacked)
+    for got, want in zip(refine_lm(camera, frames, inits), expected):
+        assert np.array_equal(got.pose.rotation, want.pose.rotation)
+        assert np.array_equal(got.pose.translation, want.pose.translation)
+        assert got.cost_trace == want.cost_trace
 
 
 # ------------------------------------------------------------ estimate_pose
@@ -254,6 +303,30 @@ def test_estimate_pose_deterministic(camera, layout, reference_pose):
     assert np.array_equal(a.pose.translation, b.pose.translation)
     assert a.rms_reprojection_error == b.rms_reprojection_error
     assert a.cost_trace == b.cost_trace
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 1.0),
+       occlusion=st.floats(0.0, 0.5), count=st.integers(1, 150))
+def test_batched_estimates_match_frame_by_frame(camera, layout, seed, sigma, occlusion, count):
+    # Ragged corner counts and more than one chunk: every frame matches the
+    # per-frame solver, and results come back in input order.
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(count):
+        # At least two tags stay visible, as standard mode needs.
+        hidden = np.flatnonzero(rng.random(len(layout)) < occlusion)[:-2]
+        corrs = project_layout(camera, visible_subset(layout, set(hidden.tolist())),
+                               random_pose(rng))
+        frames.append(jitter(corrs, sigma, rng))
+    batched = estimate_poses(camera, frames)
+    assert len(batched) == count
+    for corrs, est in zip(frames, batched):
+        ref = estimate_pose(camera, corrs)
+        assert est.converged == ref.converged
+        assert np.max(np.abs(est.pose.translation - ref.pose.translation)) <= 1e-8
+        assert np.max(np.abs(est.pose.rotation - ref.pose.rotation)) <= 1e-8
+        assert np.all(np.diff(est.cost_trace) <= 0)
 
 
 def test_noise_scaling_is_linear(camera, layout, reference_pose):
