@@ -41,7 +41,9 @@ from .geometry import (
     delta_from_poses,
 )
 from .layout import TagLayout, default_layout
-from .pnp import CorrespondenceSet, PoseEstimate, estimate_pose, estimate_poses
+# estimate_pose is not called here; the benchmark's tracer patches it in every
+# importing module, and benchmarks/tests checks that through this one.
+from .pnp import CorrespondenceSet, PoseEstimate, estimate_pose, estimate_poses  # noqa: F401
 from .sensitivity import DetectionParams, analyze
 from .simulator import (
     NoiseModel,
@@ -96,6 +98,21 @@ def _load_jsonl(path: Path, parse, kind: str) -> list:
     return rows
 
 
+def _load_json(path: Path, parse, kind: str):
+    """``parse`` of a JSON file; invalid JSON or a value that ``parse``
+    rejects raises ValidationFailure naming the file."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ValidationFailure(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return parse(data)
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError,
+            ValidationFailure) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValidationFailure(f"{path}: bad {kind}: {detail}") from exc
+
+
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -114,13 +131,13 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
 def _load_camera(path: str | None) -> PinholeCamera:
     if path is None:
         return default_camera()
-    return PinholeCamera.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return _load_json(Path(path), PinholeCamera.from_dict, "camera")
 
 
 def _load_layout(path: str | None) -> TagLayout:
     if path is None:
         return default_layout()
-    return TagLayout.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return _load_json(Path(path), TagLayout.from_dict, "layout")
 
 
 def _corrs_to_row(frame: int, timestamp: float, corrs: CorrespondenceSet) -> dict:
@@ -273,16 +290,8 @@ def _cmd_estimate(args) -> int:
     camera = _load_camera(args.camera)
     frames = _load_jsonl(Path(args.frames), lambda row: (row["frame"], _corrs_from_row(row)),
                          "frame")
-    if args.warm_start:
-        # Each frame starts from the previous frame's pose, so frames go one by one.
-        estimates, previous = [], None
-        for _, corrs in frames:
-            estimates.append(estimate_pose(camera, corrs, allow_single_tag=args.allow_single_tag,
-                                           init=previous))
-            previous = estimates[-1].pose
-    else:
-        estimates = estimate_poses(camera, [corrs for _, corrs in frames],
-                                   allow_single_tag=args.allow_single_tag)
+    estimates = estimate_poses(camera, [corrs for _, corrs in frames],
+                               allow_single_tag=args.allow_single_tag)
     _dump_jsonl(Path(args.out), ({"frame": frame, **estimate.to_dict()}
                                  for (frame, _), estimate in zip(frames, estimates)))
     _info(args, f"estimated {len(estimates)} poses to {args.out}; {_solver_summary(estimates)}")
@@ -336,10 +345,9 @@ def _sensitivity_payload(params: DetectionParams, report: CalibrationReport) -> 
 
 
 def _cmd_sensitivity(args) -> int:
-    params = DetectionParams() if args.params is None else DetectionParams.from_dict(
-        json.loads(Path(args.params).read_text(encoding="utf-8")))
-    report = CalibrationReport.from_dict(
-        json.loads(Path(args.calib).read_text(encoding="utf-8")))
+    params = (DetectionParams() if args.params is None
+              else _load_json(Path(args.params), DetectionParams.from_dict, "detection params"))
+    report = _load_json(Path(args.calib), CalibrationReport.from_dict, "calibration report")
     _dump_json(Path(args.out), _sensitivity_payload(params, report))
     _info(args, f"wrote sensitivity analysis to {args.out}")
     return 0
@@ -433,7 +441,7 @@ def _cmd_pipeline(args) -> int:
     _info(args, f"estimated {len(estimates)} poses; {_solver_summary(estimates)}")
 
     report = _stage("calibrate", calibrate, deltas, wrenches, CalibrationConfig(
-        degree=args.degree, split_fraction=args.split,
+        degree=1, split_fraction=args.split,
         seed=derive_seed(args.seed, "calibrate") % 2**32,
     ))
     _dump_json(out_dir / "calib.json", report.to_dict())
@@ -445,7 +453,7 @@ def _cmd_pipeline(args) -> int:
 
     config = {
         "samples_per_axis": args.samples_per_axis, "sigma": args.sigma,
-        "span": args.span, "degree": args.degree, "split": args.split,
+        "span": args.span, "degree": 1, "split": args.split,
         "camera": camera.to_dict(), "layout_tags": len(layout),
         "reference_pose": reference.to_dict(),
     }
@@ -498,8 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate plate poses from correspondences")
     p_est.add_argument("--camera", default=None, help="camera intrinsics JSON")
     p_est.add_argument("--frames", required=True, help="correspondences JSONL")
-    p_est.add_argument("--warm-start", action="store_true",
-                       help="seed each frame with the previous pose instead of per-frame EPnP")
     p_est.add_argument("--allow-single-tag", action="store_true",
                        help="accept degraded 1-tag (4-corner) frames")
     _add_common(p_est)
@@ -538,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--samples-per-axis", type=int, default=170)
     p_pipe.add_argument("--sigma", type=float, default=0.25)
     p_pipe.add_argument("--span", type=float, default=0.8)
-    p_pipe.add_argument("--degree", type=int, default=1, choices=[1, 3])
     p_pipe.add_argument("--split", type=float, default=0.8)
     _add_common(p_pipe)
     p_pipe.set_defaults(handler=_cmd_pipeline)

@@ -91,6 +91,8 @@ class ApproachTrajectory:
     def __post_init__(self) -> None:
         if len(self.start_joints) != len(self.target_joints):
             raise ValidationFailure("start and target joints must have equal dimension")
+        if not np.all(np.isfinite([*self.start_joints, *self.target_joints])):
+            raise ValidationFailure("start and target joints must be finite")
         if self.total_frames < 1:
             raise ValidationFailure("total_frames must be >= 1")
 

@@ -43,6 +43,9 @@ class TagLayout:
     border: float = 0.2
 
     def __post_init__(self) -> None:
+        geometry = [self.tag_size, self.border, *(v for t in self.tags for v in (*t.center, t.yaw))]
+        if not np.all(np.isfinite(geometry)):
+            raise ValidationFailure("tag_size, border, tag centers and yaws must be finite")
         if self.tag_size <= 0 or self.border < 0:
             raise ValidationFailure("tag_size must be positive and border non-negative")
         ids = [t.tag_id for t in self.tags]

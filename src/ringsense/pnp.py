@@ -18,9 +18,11 @@ stages:
 
 Both stages take a sequence of frames. Frames with equal corner counts are
 solved together, in chunks of up to ``CHUNK_FRAMES`` stacked into (B, n, ...)
-arrays; a chunk of one frame runs the per-frame code, which is also the
-reference the batched code is tested against. A batched estimate matches
-the per-frame one to rounding, not bit for bit.
+arrays. EPnP solves every chunk, a chunk of one frame included, with the
+same batched code. LM keeps a per-frame loop for a chunk of one frame,
+where it is faster; that loop is also the reference the batched LM is
+tested against. A batched estimate matches the per-frame one to rounding,
+not bit for bit.
 
 Solvers are pure functions of their inputs; identical inputs give
 bit-identical estimates. There is no outlier rejection: correspondences
@@ -31,6 +33,7 @@ input with association errors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -430,81 +433,10 @@ def refine_lm(
     return out
 
 
-def _epnp_frame(camera, ref, img) -> RigidTransform:
-    """Closed-form pose of one frame; the reference for ``_epnp_chunk``."""
-    n = ref.shape[0]
-    if n < 4:
-        raise DegenerateConfiguration(f"need at least 4 points, got {n}")
-
-    centroid = ref.mean(axis=0)
-    centered = ref - centroid
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    if s[1] <= 1e-9 * max(s[0], 1e-300):
-        raise DegenerateConfiguration("reference points are collinear")
-    planar = s[2] <= _PLANAR_TOL * s[0]
-
-    if planar:
-        # Control points: centroid plus the two in-plane principal directions.
-        scale = s[:2] / math.sqrt(n)
-        ctrl_world = np.vstack(
-            [centroid, centroid + scale[0] * vt[0], centroid + scale[1] * vt[1]]
-        )
-        basis = np.column_stack([vt[0] * scale[0], vt[1] * scale[1]])  # (3, 2)
-        coords, *_ = np.linalg.lstsq(basis, centered.T, rcond=None)
-        alphas = np.column_stack([1.0 - coords.T.sum(axis=1), coords.T])  # (n, 3)
-    else:
-        scale = s / math.sqrt(n)
-        ctrl_world = np.vstack([centroid + scale[i] * vt[i] for i in range(3)] + [centroid])
-        system = np.vstack([ctrl_world.T, np.ones(4)])
-        rhs = np.vstack([ref.T, np.ones(n)])
-        alphas = np.linalg.solve(system, rhs).T  # (n, 4)
-
-    k = ctrl_world.shape[0]
-    m = np.zeros((2 * n, 3 * k))
-    for j in range(k):
-        a = alphas[:, j]
-        m[0::2, 3 * j] = a * camera.fx
-        m[0::2, 3 * j + 2] = a * (camera.cx - img[:, 0])
-        m[1::2, 3 * j + 1] = a * camera.fy
-        m[1::2, 3 * j + 2] = a * (camera.cy - img[:, 1])
-
-    _, vecs = np.linalg.eigh(m.T @ m)
-    ctrl_cam = vecs[:, 0].reshape(k, 3)
-
-    # Fix scale by least-squares matching of inter-control-point distances.
-    num = 0.0
-    den = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            dc = float(np.linalg.norm(ctrl_cam[i] - ctrl_cam[j]))
-            dw = float(np.linalg.norm(ctrl_world[i] - ctrl_world[j]))
-            num += dc * dw
-            den += dc * dc
-    if den <= 0:
-        raise DegenerateConfiguration("null-space control points collapsed to a point")
-    ctrl_cam = ctrl_cam * (num / den)
-
-    pts_cam = alphas @ ctrl_cam
-    # Positive-depth voting resolves the eigenvector sign.
-    if np.sum(pts_cam[:, 2] > 0) < np.sum(pts_cam[:, 2] < 0):
-        pts_cam = -pts_cam
-    if np.any(pts_cam[:, 2] <= 0):
-        raise BehindCamera("no sign choice places all points at positive depth")
-
-    # Orthogonal Procrustes: R, t minimizing ||pts_cam - (R ref + t)||.
-    mu_w = ref.mean(axis=0)
-    mu_c = pts_cam.mean(axis=0)
-    h = (ref - mu_w).T @ (pts_cam - mu_c)
-    uu, _, vvt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vvt.T @ uu.T))
-    rotation = vvt.T @ np.diag([1.0, 1.0, d]) @ uu.T
-    translation = mu_c - rotation @ mu_w
-    return RigidTransform(_orthonormalize(rotation), translation)
-
-
-def _epnp_chunk(camera, ref, img) -> list[RigidTransform] | None:
-    """``_epnp_frame`` on B planar frames at once, ref (B, n, 3) and
-    img (B, n, 2); None if any frame is not planar."""
+def _epnp_chunk(camera, ref, img) -> list[RigidTransform]:
+    """Closed-form pose of B frames at once, ref (B, n, 3) and img (B, n, 2),
+    in input order. Planar frames get 3 control points and the others 4; a
+    chunk holding both kinds is solved as two sub-chunks."""
     b, n = ref.shape[:2]
     if n < 4:
         raise DegenerateConfiguration(f"need at least 4 points, got {n}")
@@ -513,30 +445,39 @@ def _epnp_chunk(camera, ref, img) -> list[RigidTransform] | None:
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     if np.any(s[:, 1] <= 1e-9 * np.maximum(s[:, 0], 1e-300)):
         raise DegenerateConfiguration("reference points are collinear")
-    if np.any(s[:, 2] > _PLANAR_TOL * s[:, 0]):
-        return None
+    planar = s[:, 2] <= _PLANAR_TOL * s[:, 0]
+    if not planar.all() and planar.any():
+        out: list[RigidTransform | None] = [None] * b
+        for rows in (planar, ~planar):
+            for i, pose in zip(np.flatnonzero(rows).tolist(),
+                               _epnp_chunk(camera, ref[rows], img[rows])):
+                out[i] = pose
+        return out
 
-    # Control points: centroid plus the two in-plane principal directions.
-    # Those directions are orthonormal, so the barycentric coordinates are
-    # projections onto them.
-    scale = s[:, :2] / math.sqrt(n)
-    axes = vt[:, :2]  # (B, 2, 3)
+    # Control points: the centroid plus one point along each principal axis,
+    # two for planar frames and three otherwise. The axes are orthonormal, so
+    # the barycentric coordinates are projections onto them.
+    k = 3 if planar[0] else 4
+    scale = s[:, :k - 1] / math.sqrt(n)
+    axes = vt[:, :k - 1]  # (B, k - 1, 3)
     ctrl_world = np.concatenate([centroid[:, None], centroid[:, None] + scale[..., None] * axes],
-                                axis=1)  # (B, 3, 3)
-    coords = (centered @ axes.swapaxes(1, 2)) / scale[:, None]  # (B, n, 2)
+                                axis=1)  # (B, k, 3)
+    coords = (centered @ axes.swapaxes(1, 2)) / scale[:, None]  # (B, n, k - 1)
     alphas = np.concatenate([1.0 - coords.sum(axis=2, keepdims=True), coords], axis=2)
 
-    m = np.zeros((b, n, 2, 9))
+    m = np.zeros((b, n, 2, 3 * k))
     m[:, :, 0, 0::3] = alphas * camera.fx
     m[:, :, 0, 2::3] = alphas * (camera.cx - img[..., 0:1])
     m[:, :, 1, 1::3] = alphas * camera.fy
     m[:, :, 1, 2::3] = alphas * (camera.cy - img[..., 1:2])
-    m = m.reshape(b, 2 * n, 9)
+    m = m.reshape(b, 2 * n, 3 * k)
     _, vecs = np.linalg.eigh(m.swapaxes(1, 2) @ m)
-    ctrl_cam = vecs[:, :, 0].reshape(b, 3, 3)
+    ctrl_cam = vecs[:, :, 0].reshape(b, k, 3)
 
     # Fix scale by least-squares matching of inter-control-point distances.
-    first, second = [0, 0, 1], [1, 2, 2]
+    # The control-point pairs i < j; np.triu_indices gives the same pairs at
+    # several times the cost of this whole step.
+    first, second = zip(*itertools.combinations(range(k), 2))
     dc = np.linalg.norm(ctrl_cam[:, first] - ctrl_cam[:, second], axis=2)
     dw = np.linalg.norm(ctrl_world[:, first] - ctrl_world[:, second], axis=2)
     den = (dc * dc).sum(axis=1)
@@ -569,9 +510,9 @@ def epnp_initialize(
 
     Handles the planar case (always true for the tag plate) with three
     control points and a 9x9 null-space system; non-planar input uses four
-    control points and the 12x12 system. Planar frames of equal corner
-    count are solved together in chunks of up to ``CHUNK_FRAMES``; a chunk
-    of one frame, or one holding a non-planar frame, runs frame by frame.
+    control points and the 12x12 system. Frames of equal corner count are
+    solved together in chunks of up to ``CHUNK_FRAMES``, a chunk of one
+    frame included.
 
     Raises:
         DegenerateConfiguration: fewer than 4 points, or collinear points.
@@ -579,24 +520,20 @@ def epnp_initialize(
     """
     out: list[RigidTransform | None] = [None] * len(frames)
     for idx in _chunks(frames):
-        found = None
-        if len(idx) > 1:
-            found = _epnp_chunk(camera, np.stack([frames[i].ref for i in idx]),
-                                np.stack([frames[i].img for i in idx]))
-        if found is None:
-            found = [_epnp_frame(camera, frames[i].ref, frames[i].img) for i in idx]
-        for i, pose in zip(idx, found):
+        poses = _epnp_chunk(camera, np.stack([frames[i].ref for i in idx]),
+                            np.stack([frames[i].img for i in idx]))
+        for i, pose in zip(idx, poses):
             out[i] = pose
     return out
 
 
 def _check_visible(corrs: CorrespondenceSet, allow_single_tag: bool) -> None:
-    min_tags = 1 if allow_single_tag else 2
-    min_entries = 4 if allow_single_tag else 8
+    mode, min_tags, min_entries = (("single-tag", 1, 4) if allow_single_tag
+                                   else ("standard", 2, 8))
     if corrs.tag_count < min_tags or len(corrs) < min_entries:
         raise TooFewTagsVisible(
-            f"{corrs.tag_count} tag(s) / {len(corrs)} corner(s); standard mode "
-            f"needs >= 2 tags and 8 corners"
+            f"{corrs.tag_count} tag(s) / {len(corrs)} corner(s); {mode} mode "
+            f"needs >= {min_tags} tag(s) and {min_entries} corners"
         )
 
 
@@ -605,19 +542,15 @@ def estimate_pose(
     corrs: CorrespondenceSet,
     config: SolverConfig = SolverConfig(),
     allow_single_tag: bool = False,
-    init: RigidTransform | None = None,
 ) -> PoseEstimate:
     """Full pipeline on one frame: EPnP initialization then LM refinement.
 
     Standard mode requires at least 2 tags (8 corners); pass
     ``allow_single_tag=True`` for the degraded 1-tag (4-corner) mode, which
-    is solvable but jitter-prone. A given ``init`` pose (e.g. the previous
-    frame's estimate) replaces the EPnP initialization; the tag and corner
-    minimums apply either way.
+    is solvable but jitter-prone.
     """
     _check_visible(corrs, allow_single_tag)
-    if init is None:
-        [init] = epnp_initialize(camera, [corrs])
+    [init] = epnp_initialize(camera, [corrs])
     [estimate] = refine_lm(camera, [corrs], [init], config)
     return estimate
 

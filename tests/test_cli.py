@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ringsense.cli import _read_sweep_csv, _write_sweep_csv, main
+from ringsense.geometry import default_camera
+from ringsense.layout import default_layout
+from ringsense.sensitivity import DetectionParams
 
 REFERENCE_WRENCH_FLOOR = np.array([4.30, 4.22, 9.93, 0.32, 0.13, 8.55])
 
@@ -98,18 +101,6 @@ def test_estimate_converges_on_simulated_frames(tmp_path, capsys):
     mean_iterations = sum(r["iterations_used"] for r in rows) / 6
     assert (f"0 not converged, {mean_iterations:.2f} LM iterations per frame"
             in capsys.readouterr().err)
-
-
-def test_estimate_warm_start(tmp_path):
-    sim = tmp_path / "sim"
-    assert main(["simulate", "--axis", "1", "--samples-per-axis", "5",
-                 "--sigma", "0", "--seed", "5", "--out", str(sim), "--quiet"]) == 0
-    poses = tmp_path / "poses.jsonl"
-    assert main(["estimate", "--frames", str(sim / "frames.jsonl"), "--warm-start",
-                 "--out", str(poses), "--quiet"]) == 0
-    rows = read_jsonl(poses)
-    assert all(r["converged"] for r in rows)
-    assert all(r["rms_reprojection_error"] < 1e-6 for r in rows)
 
 
 def test_calibrate_on_ground_truth_sweep(tmp_path):
@@ -236,8 +227,17 @@ def test_first_bad_frame_sets_the_exit_code(tmp_path, capsys, frame_row, degener
     ["simulate", "--sigma", "nan"],
     ["pipeline", "--sigma", "nan"],
     ["monitor", "--threshold", "nan", "--frames", "12", "--poses", "{poses}"],
+    ["layout", "emit", "--tag-size", "nan"],
+    ["layout", "emit", "--ring-radius", "nan"],
+    ["layout", "emit", "--ring-radius", "inf"],
+    ["monitor", "--threshold", "0.5", "--frames", "12", "--start-joints", "nan",
+     "--poses", "{poses}"],
+    ["monitor", "--threshold", "0.5", "--frames", "12", "--target-joints", "inf",
+     "--poses", "{poses}"],
 ], ids=["simulate_negative_count", "pipeline_negative_count", "simulate_nan_sigma",
-        "pipeline_nan_sigma", "monitor_nan_threshold"])
+        "pipeline_nan_sigma", "monitor_nan_threshold", "layout_nan_tag_size",
+        "layout_nan_ring_radius", "layout_inf_ring_radius", "monitor_nan_start_joints",
+        "monitor_inf_target_joints"])
 def test_out_of_range_options_are_validation_errors(tmp_path, capsys, pipeline_dir, argv):
     argv = [a.format(poses=pipeline_dir / "poses.jsonl") for a in argv]
     rc = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
@@ -245,6 +245,42 @@ def test_out_of_range_options_are_validation_errors(tmp_path, capsys, pipeline_d
     assert rc == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_CONFIG_FILES = {
+    # kind: (argv with {config} for the file under test, a valid payload, a numeric key)
+    "camera": (["simulate", "--axis", "0", "--samples-per-axis", "1", "--camera", "{config}"],
+               default_camera().to_dict(), "fx"),
+    "layout": (["simulate", "--axis", "0", "--samples-per-axis", "1", "--layout", "{config}"],
+               default_layout().to_dict(), "tag_size_mm"),
+    "params": (["sensitivity", "--calib", "{calib}", "--params", "{config}"],
+               DetectionParams().to_dict(), "d_r"),
+    "calib": (["sensitivity", "--calib", "{config}"], None, "split_fraction"),
+}
+
+
+@pytest.mark.parametrize("kind, corruption", [
+    (kind, corruption) for kind in _CONFIG_FILES
+    for corruption in ("truncated", "missing_key", "non_numeric", "non_object")
+    if (kind, corruption) != ("params", "missing_key")  # every params key is optional
+])
+def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline_dir, kind,
+                                                      corruption):
+    argv, payload, key = _CONFIG_FILES[kind]
+    calib = pipeline_dir / "calib.json"
+    payload = read_json(calib) if payload is None else dict(payload)
+    if corruption == "missing_key":
+        payload.pop(key)
+    elif corruption == "non_numeric":
+        payload[key] = "abc"
+    text = json.dumps([1] if corruption == "non_object" else payload)
+    config = tmp_path / "config.json"
+    config.write_text(text[:len(text) // 2] if corruption == "truncated" else text)
+    rc = main([a.format(config=config, calib=calib) for a in argv]
+              + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
 
 
 def test_simulate_zero_samples_writes_empty_data(tmp_path):
@@ -276,16 +312,22 @@ def frame_row(tmp_path_factory):
     return read_jsonl(sim / "frames.jsonl")[0]
 
 
-@pytest.mark.parametrize("flags, expected_rc", [([], 1), (["--allow-single-tag"], 0)])
-def test_warm_start_applies_the_tag_gate(tmp_path, capsys, frame_row, flags, expected_rc):
-    one_tag = {**frame_row, "frame": 1, "entries": frame_row["entries"][:4]}
+@pytest.mark.parametrize("corners, flags, expected_err", [
+    (4, [], "1 tag(s) / 4 corner(s); standard mode needs >= 2 tag(s) and 8 corners"),
+    (4, ["--allow-single-tag"], None),
+    (3, ["--allow-single-tag"],
+     "1 tag(s) / 3 corner(s); single-tag mode needs >= 1 tag(s) and 4 corners"),
+], ids=["one_tag_standard", "one_tag_single_tag", "three_corners_single_tag"])
+def test_estimate_applies_the_tag_gate(tmp_path, capsys, frame_row, corners, flags,
+                                       expected_err):
+    one_tag = {**frame_row, "frame": 1, "entries": frame_row["entries"][:corners]}
     frames = tmp_path / "frames.jsonl"
     frames.write_text(json.dumps(frame_row) + "\n" + json.dumps(one_tag) + "\n")
-    rc = main(["estimate", "--frames", str(frames), "--warm-start", *flags,
+    rc = main(["estimate", "--frames", str(frames), *flags,
                "--out", str(tmp_path / "poses.jsonl"), "--quiet"])
-    assert rc == expected_rc
-    if expected_rc == 1:
-        assert "1 tag(s) / 4 corner(s)" in capsys.readouterr().err
+    assert rc == (0 if expected_err is None else 1)
+    if expected_err is not None:
+        assert capsys.readouterr().err == f"error: {expected_err}\n"
 
 
 def _drop_ref(row):

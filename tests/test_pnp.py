@@ -128,17 +128,31 @@ def test_epnp_handles_tilted_plane(camera, layout):
     assert rotation_angle(est.pose.rotation.T @ expected.rotation) < 1e-8
 
 
-def test_epnp_non_planar_points(camera):
-    # Cube corners exercise the 4-control-point branch.
+def test_epnp_non_planar_points(camera, layout):
+    # Cube corners exercise the 4-control-point branch. A chunk that mixes
+    # them with 2-tag plate frames of the same corner count (8) is split into
+    # planar and non-planar sub-chunks; poses come back in input order.
     rng = np.random.default_rng(2)
     pts = np.array([[x, y, z] for x in (-2, 2) for y in (-2, 2) for z in (-2, 2)], float)
-    pose = random_pose(rng)
-    cams = pose.apply(pts)
-    uv = np.stack([camera.fx * cams[:, 0] / cams[:, 2] + camera.cx,
-                   camera.fy * cams[:, 1] / cams[:, 2] + camera.cy], axis=1)
-    corrs = CorrespondenceSet(tag_ids=np.arange(8), corner_idx=np.zeros(8), ref=pts, img=uv)
-    est = estimate_pose(camera, corrs, allow_single_tag=True)
-    assert np.max(np.abs(est.pose.translation - pose.translation)) < 1e-6
+    two_tags = visible_subset(layout, set(range(2, len(layout))))
+    poses, frames = [], []
+    for i in range(6):
+        pose = random_pose(rng)
+        if i % 2:
+            corrs = project_layout(camera, two_tags, pose)
+        else:
+            cams = pose.apply(pts)
+            uv = np.stack([camera.fx * cams[:, 0] / cams[:, 2] + camera.cx,
+                           camera.fy * cams[:, 1] / cams[:, 2] + camera.cy], axis=1)
+            corrs = CorrespondenceSet(tag_ids=np.arange(8), corner_idx=np.zeros(8), ref=pts,
+                                      img=uv)
+        poses.append(pose)
+        frames.append(corrs)
+    for pose, init in zip(poses, epnp_initialize(camera, frames)):
+        assert np.max(np.abs(init.translation - pose.translation)) < 1e-6
+        assert rotation_angle(init.rotation.T @ pose.rotation) < 1e-8
+    est = estimate_pose(camera, frames[0], allow_single_tag=True)
+    assert np.max(np.abs(est.pose.translation - poses[0].translation)) < 1e-6
 
 
 # --------------------------------------------------------------- refine_lm
