@@ -63,7 +63,6 @@ from .sensitivity import (
 from .simulator import (
     ComplianceModel,
     NoiseModel,
-    SweepSample,
     Wrench,
     default_compliance,
     default_reference_pose,
@@ -96,7 +95,6 @@ __all__ = [
     "RigidTransform",
     "SensitivityResult",
     "SolverConfig",
-    "SweepSample",
     "TagLayout",
     "TagPlacement",
     "Wrench",

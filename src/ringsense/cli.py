@@ -47,7 +47,6 @@ from .pnp import CorrespondenceSet, PoseEstimate, estimate_pose, estimate_poses 
 from .sensitivity import DetectionParams, analyze
 from .simulator import (
     NoiseModel,
-    SweepSample,
     axis_magnitudes,
     default_compliance,
     default_reference_pose,
@@ -77,13 +76,28 @@ def _dump_jsonl(path: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _utf8_lines(path: Path, fh):
+    """(line number, line) of each line of ``fh``, a text file opened with
+    ``errors="surrogateescape"``; a line that is not UTF-8 raises
+    ValidationFailure naming the file, the line and the first bad byte."""
+    for lineno, line in enumerate(fh, 1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00  # surrogateescape maps byte b to U+DC00 + b
+                raise ValidationFailure(
+                    f"{path} line {lineno}: byte 0x{byte:02x} is not UTF-8") from None
+        yield lineno, line
+
+
 def _load_jsonl(path: Path, parse, kind: str) -> list:
-    """``parse`` of each non-blank line of a JSONL file; invalid JSON or a
-    row that ``parse`` rejects raises ValidationFailure naming the file and
-    line."""
+    """``parse`` of each non-blank line of a JSONL file; bytes that are not
+    UTF-8, invalid JSON or a row that ``parse`` rejects raise
+    ValidationFailure naming the file and line."""
     rows = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in _utf8_lines(path, fh):
             if not line.strip():
                 continue
             try:
@@ -179,10 +193,11 @@ def _write_sweep_csv(path: Path, axes, magnitudes, wrenches: np.ndarray,
 
 def _read_sweep_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """(deformations, wrenches) of a sweep CSV as two (n, 6) arrays; a bad
-    row raises ValidationFailure or EulerOutOfRange naming the file and line."""
+    row, or a line that is not UTF-8, raises ValidationFailure or
+    EulerOutOfRange naming the file and line."""
     lines, rows = [], []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.DictReader(line for _, line in _utf8_lines(path, fh))
         missing = set(SWEEP_HEADER) - set(reader.fieldnames or [])
         if missing:
             raise ValidationFailure(f"{path}: missing columns {sorted(missing)}")
@@ -228,28 +243,30 @@ def _cmd_layout(args) -> int:
 
 def _run_sweeps(camera, layout, reference, compliance, noise_sigma, occlusion, seed,
                 axes: list[int], samples_per_axis: int, span: float):
-    samples = []
+    """One sweep per axis of ``axes``, concatenated: the axis and magnitude of
+    each frame as two lists, the wrenches and deformations as two (n, 6)
+    arrays, and the n frames."""
+    noise = NoiseModel(corner_sigma=noise_sigma, occlusion_probability=occlusion,
+                       seed=derive_seed(seed, "simulate"))
+    frame_axes, magnitudes, wrenches, deformations, frames = [], [], [], [], []
     for axis in axes:
-        magnitudes = axis_magnitudes(compliance, axis, samples_per_axis, span)
-        noise = NoiseModel(corner_sigma=noise_sigma, occlusion_probability=occlusion,
-                           seed=derive_seed(seed, "simulate"))
-        samples.extend(sweep_dataset(
-            axis, magnitudes, camera, layout, reference, compliance, noise,
-            stream_offset=axis * samples_per_axis,
-        ))
-    return samples
+        axis_mags = axis_magnitudes(compliance, axis, samples_per_axis, span)
+        w, d, f = sweep_dataset(axis, axis_mags, camera, layout, reference, compliance, noise,
+                                stream_offset=axis * samples_per_axis)
+        frame_axes += [axis] * len(f)
+        magnitudes += axis_mags.tolist()
+        wrenches.append(w)
+        deformations.append(d)
+        frames += f
+    return frame_axes, magnitudes, np.concatenate(wrenches), np.concatenate(deformations), frames
 
 
-def _write_simulation(out_dir: Path, samples: list[SweepSample]):
-    """Write sweep.csv and frames.jsonl; return the axes, magnitudes and (n, 6) wrenches."""
-    axes = [s.axis for s in samples]
-    magnitudes = [s.magnitude for s in samples]
-    wrenches = np.array([s.wrench.as_array() for s in samples]).reshape(-1, 6)
-    deltas = np.array([s.deformation.as_array() for s in samples]).reshape(-1, 6)
-    _write_sweep_csv(out_dir / "sweep.csv", axes, magnitudes, wrenches, deltas)
+def _write_simulation(out_dir: Path, axes, magnitudes, wrenches: np.ndarray,
+                      deformations: np.ndarray, frames: list[CorrespondenceSet]) -> None:
+    """Write sweep.csv and frames.jsonl, one row per frame."""
+    _write_sweep_csv(out_dir / "sweep.csv", axes, magnitudes, wrenches, deformations)
     _dump_jsonl(out_dir / "frames.jsonl",
-                (_corrs_to_row(i, i * 0.02, s.correspondences) for i, s in enumerate(samples)))
-    return axes, magnitudes, wrenches
+                (_corrs_to_row(i, i * 0.02, corrs) for i, corrs in enumerate(frames)))
 
 
 def _cmd_simulate(args) -> int:
@@ -261,9 +278,9 @@ def _cmd_simulate(args) -> int:
     reference = default_reference_pose()
     axes = list(range(6)) if args.axis == "all" else [int(args.axis)]
 
-    samples = _run_sweeps(camera, layout, reference, compliance, args.sigma,
-                          args.occlusion, args.seed, axes, args.samples_per_axis, args.span)
-    _write_simulation(out_dir, samples)
+    sweep = _run_sweeps(camera, layout, reference, compliance, args.sigma,
+                        args.occlusion, args.seed, axes, args.samples_per_axis, args.span)
+    _write_simulation(out_dir, *sweep)
     config = {
         "axis": args.axis, "samples_per_axis": args.samples_per_axis,
         "sigma": args.sigma, "occlusion": args.occlusion, "span": args.span,
@@ -274,7 +291,7 @@ def _cmd_simulate(args) -> int:
                for name, path in (("camera", args.camera), ("layout", args.layout))
                if path is not None}
     _write_manifest(out_dir, "simulate", config, args.seed, digests)
-    _info(args, f"wrote {len(samples)} frames to {out_dir}")
+    _info(args, f"wrote {len(sweep[-1])} frames to {out_dir}")
     return 0
 
 
@@ -425,14 +442,13 @@ def _cmd_pipeline(args) -> int:
     compliance = default_compliance()
     reference = default_reference_pose()
 
-    samples = _stage("simulate", _run_sweeps, camera, layout, reference, compliance,
-                     args.sigma, 0.0, args.seed, list(range(6)),
-                     args.samples_per_axis, args.span)
-    axes, magnitudes, wrenches = _write_simulation(out_dir, samples)
-    _info(args, f"simulated {len(samples)} frames")
+    axes, magnitudes, wrenches, deformations, frames = _stage(
+        "simulate", _run_sweeps, camera, layout, reference, compliance,
+        args.sigma, 0.0, args.seed, list(range(6)), args.samples_per_axis, args.span)
+    _write_simulation(out_dir, axes, magnitudes, wrenches, deformations, frames)
+    _info(args, f"simulated {len(frames)} frames")
 
-    estimates = _stage("estimate", estimate_poses, camera,
-                       [s.correspondences for s in samples])
+    estimates = _stage("estimate", estimate_poses, camera, frames)
     _dump_jsonl(out_dir / "poses.jsonl",
                 ({"frame": i, **e.to_dict()} for i, e in enumerate(estimates)))
     deltas = np.array([delta_from_poses(reference, e.pose).as_array()

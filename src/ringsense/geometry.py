@@ -256,9 +256,13 @@ def project(camera: PinholeCamera, point_cam: np.ndarray) -> np.ndarray:
 
 
 def project_points(camera: PinholeCamera, points_cam: np.ndarray) -> np.ndarray:
-    """Vectorized projection of (n, 3) camera-frame points to (n, 2) pixels."""
+    """Vectorized projection of (n, 3) camera-frame points to (n, 2) pixels.
+
+    Raises:
+        NonPositiveDepth: if any point is at or behind the camera (z <= 0).
+    """
     p = np.asarray(points_cam, dtype=np.float64)
-    if np.any(p[:, 2] <= 0):
+    if (p[:, 2] <= 0).any():
         raise NonPositiveDepth("all point depths must be positive")
     return _pinhole(camera, p)
 

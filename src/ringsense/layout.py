@@ -10,6 +10,10 @@ Corners are enumerated counter-clockwise starting at the bottom-left of the
 tag's local frame, matching common fiducial-detector conventions. All tags
 are coplanar at z = 0 in the plate reference frame. Tag ids are opaque
 integers; rendering and payload decoding are out of scope.
+
+A :class:`TagLayout` computes its corner table, shape (n_tags, 4, 3), once
+when it is built; :func:`corners_ref` and :func:`all_corners` read that
+table and do no trigonometry and no search over the tags.
 """
 
 from __future__ import annotations
@@ -52,6 +56,17 @@ class TagLayout:
         if len(ids) != len(set(ids)):
             raise ValidationFailure("tag ids must be unique within a layout")
         self._check_overlap()
+        # The corner table and the id -> row map are not dataclass fields, so
+        # ==, hash, repr and to_dict see only the tags, tag_size and border.
+        half = self.tag_size / 2.0
+        corners = np.zeros((len(self.tags), 4, 3))
+        for row, tag in enumerate(self.tags):
+            c, s = math.cos(tag.yaw), math.sin(tag.yaw)
+            rot = np.array([[c, -s], [s, c]])
+            corners[row, :, :2] = _CORNER_SIGNS * half @ rot.T + np.array(tag.center)
+        corners.setflags(write=False)
+        object.__setattr__(self, "_corners", corners)
+        object.__setattr__(self, "_rows", {tag_id: row for row, tag_id in enumerate(ids)})
 
     def _check_overlap(self) -> None:
         # Non-overlap bound: footprint squares of side tag_size + 2*border
@@ -140,20 +155,14 @@ def corners_ref(layout: TagLayout, tag_id: int) -> np.ndarray:
     """Four plate-frame corners (mm) of one tag, shape (4, 3), z = 0.
 
     Counter-clockwise starting at the bottom-left corner of the tag's
-    local frame, rotated by yaw and translated to the tag center.
+    local frame, rotated by yaw and translated to the tag center. Returns a
+    writable copy of the tag's row of the layout's corner table.
     """
-    for tag in layout.tags:
-        if tag.tag_id == tag_id:
-            break
-    else:
-        raise UnknownTagId(f"tag id {tag_id} not in layout")
-    half = layout.tag_size / 2.0
-    c, s = math.cos(tag.yaw), math.sin(tag.yaw)
-    rot = np.array([[c, -s], [s, c]])
-    xy = _CORNER_SIGNS * half @ rot.T + np.array(tag.center)
-    corners = np.zeros((4, 3))
-    corners[:, :2] = xy
-    return corners
+    try:
+        row = layout._rows[tag_id]
+    except KeyError:
+        raise UnknownTagId(f"tag id {tag_id} not in layout") from None
+    return layout._corners[row].copy()
 
 
 def all_corners(layout: TagLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,8 +173,16 @@ def all_corners(layout: TagLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     ids = np.repeat([t.tag_id for t in layout.tags], 4)
     idx = np.tile(np.arange(4), len(layout.tags))
-    pts = np.concatenate([corners_ref(layout, t.tag_id) for t in layout.tags], axis=0)
-    return ids, idx, pts
+    return ids, idx, layout._corners.reshape(-1, 3).copy()
+
+
+def _require_two_tags(remaining: int) -> None:
+    """The multi-tag solve minimum after masking; the simulator's occlusion
+    mask applies the same rule as :func:`visible_subset`."""
+    if remaining < 2:
+        raise TooFewTagsVisible(
+            f"only {remaining} tag(s) remain after masking; at least 2 required"
+        )
 
 
 def visible_subset(layout: TagLayout, occlusion_mask: set[int]) -> TagLayout:
@@ -177,8 +194,5 @@ def visible_subset(layout: TagLayout, occlusion_mask: set[int]) -> TagLayout:
         of the pose estimator, not of layouts).
     """
     remaining = tuple(t for t in layout.tags if t.tag_id not in occlusion_mask)
-    if len(remaining) < 2:
-        raise TooFewTagsVisible(
-            f"only {len(remaining)} tag(s) remain after masking; at least 2 required"
-        )
+    _require_two_tags(len(remaining))
     return TagLayout(tags=remaining, tag_size=layout.tag_size, border=layout.border)

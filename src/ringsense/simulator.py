@@ -7,6 +7,13 @@ reference pose, projecting all visible tag corners, and perturbing them
 with i.i.d. Gaussian pixel noise; whole tags drop out with a configurable
 occlusion probability.
 
+Occlusion is a boolean mask over the layout's tags: only the unmasked
+tags are projected, and no reduced layout is built. Their plate-frame
+corners are rows of the corner table the layout computed once, so a frame
+costs one table lookup per visible tag, one rigid transform of all visible
+corners and one projection per visible tag. A sweep is returned as (B, 6)
+wrench and deformation arrays plus its frames.
+
 The default compliance is diagonal and reverse-engineered so that the
 reference minimum-detectable-pose floor maps exactly onto the reference
 minimum-detectable-wrench vector, which turns the sensitivity analysis
@@ -37,7 +44,7 @@ from .geometry import (
     apply_delta,
     project_points,
 )
-from .layout import TagLayout, corners_ref, visible_subset
+from .layout import TagLayout, _require_two_tags, corners_ref
 from .pnp import CorrespondenceSet
 
 # Reference sensitivity floor (mm, rad) and wrench floor (mN, mN*m) that the
@@ -175,27 +182,62 @@ def default_reference_pose(standoff_mm: float = 10.0) -> RigidTransform:
 
 
 def project_layout(
-    camera: PinholeCamera, layout: TagLayout, pose: RigidTransform
+    camera: PinholeCamera,
+    layout: TagLayout,
+    pose: RigidTransform,
+    visible: np.ndarray | None = None,
 ) -> CorrespondenceSet:
     """Exact projection of every corner of ``layout`` under ``pose``.
 
-    No noise, no occlusion, no bounds check; building block for the
+    ``visible``, a boolean mask over ``layout.tags``, keeps only the tags it
+    marks. No noise and no image-bounds check; building block for the
     synthesizer and for closed-form test oracles.
+
+    Raises:
+        CornerOutOfImage: naming the first tag with a corner at or behind
+        the camera.
     """
-    refs, imgs = [], []
-    for tag in layout.tags:
-        corners = corners_ref(layout, tag.tag_id)
-        cams = pose.apply(corners)
-        if np.any(cams[:, 2] <= 0):
-            raise CornerOutOfImage(f"tag {tag.tag_id} has corners behind the camera")
-        refs.append(corners)
-        imgs.append(project_points(camera, cams))
+    tags = layout.tags if visible is None else [t for t, v in zip(layout.tags, visible) if v]
+    ref = np.array([corners_ref(layout, tag.tag_id) for tag in tags]).reshape(-1, 4, 3)
+    cams = ref @ pose.rotation.T + pose.translation
+    behind = (cams[..., 2] <= 0).any(axis=1)
+    if behind.any():
+        tag_id = tags[int(np.argmax(behind))].tag_id
+        raise CornerOutOfImage(f"tag {tag_id} has corners behind the camera")
+    # One project_points call per visible tag: the benchmark's traced test
+    # asserts that per-frame call count.
+    img = np.array([project_points(camera, tag_cams) for tag_cams in cams]).reshape(-1, 2)
     return CorrespondenceSet(
-        tag_ids=np.repeat([t.tag_id for t in layout.tags], 4),
-        corner_idx=np.tile(np.arange(4), len(layout.tags)),
-        ref=np.reshape(refs, (-1, 3)),
-        img=np.reshape(imgs, (-1, 2)),
+        tag_ids=np.repeat([t.tag_id for t in tags], 4),
+        corner_idx=np.tile(np.arange(4), len(tags)),
+        ref=ref.reshape(-1, 3),
+        img=img,
     )
+
+
+def _observe(
+    camera: PinholeCamera, layout: TagLayout, pose: RigidTransform, noise: NoiseModel
+) -> CorrespondenceSet:
+    """The corners of ``layout`` a camera sees with the plate at ``pose``:
+    occlusion mask first, then projection, then pixel noise."""
+    rng = np.random.default_rng(noise.seed)
+    visible = None
+    if noise.occlusion_probability > 0:
+        visible = rng.random(len(layout)) >= noise.occlusion_probability
+        _require_two_tags(int(np.count_nonzero(visible)))
+
+    exact = project_layout(camera, layout, pose, visible)
+    img = exact.img
+    if noise.corner_sigma > 0:
+        img = img + rng.normal(0.0, noise.corner_sigma, size=img.shape)
+    outside = ~camera.contains(img)
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        raise CornerOutOfImage(
+            f"tag {exact.tag_ids[k]} corner {exact.corner_idx[k]} at ({img[k, 0]:.1f}, {img[k, 1]:.1f}) "
+            f"is outside the {camera.image_width:.0f}x{camera.image_height:.0f} image"
+        )
+    return replace(exact, img=img)
 
 
 def synthesize_frame(
@@ -215,38 +257,8 @@ def synthesize_frame(
     Raises:
         DeformationLimitExceeded, TooFewTagsVisible, CornerOutOfImage.
     """
-    rng = np.random.default_rng(noise.seed)
     ground_truth = apply_delta(reference_pose, deform(compliance, wrench))
-
-    visible = layout
-    if noise.occlusion_probability > 0:
-        drop = rng.random(len(layout)) < noise.occlusion_probability
-        mask = {t.tag_id for t, d in zip(layout.tags, drop) if d}
-        visible = visible_subset(layout, mask)
-
-    exact = project_layout(camera, layout=visible, pose=ground_truth)
-    img = exact.img
-    if noise.corner_sigma > 0:
-        img = img + rng.normal(0.0, noise.corner_sigma, size=img.shape)
-    outside = ~camera.contains(img)
-    if np.any(outside):
-        k = int(np.argmax(outside))
-        raise CornerOutOfImage(
-            f"tag {exact.tag_ids[k]} corner {exact.corner_idx[k]} at ({img[k, 0]:.1f}, {img[k, 1]:.1f}) "
-            f"is outside the {camera.image_width:.0f}x{camera.image_height:.0f} image"
-        )
-    return replace(exact, img=img), ground_truth
-
-
-@dataclass(frozen=True)
-class SweepSample:
-    """One sweep row: applied wrench, true deformation, observed corners."""
-
-    axis: int
-    magnitude: float
-    wrench: Wrench
-    deformation: DeformationVector
-    correspondences: CorrespondenceSet
+    return _observe(camera, layout, ground_truth, noise), ground_truth
 
 
 def axis_magnitudes(
@@ -272,26 +284,23 @@ def sweep_dataset(
     compliance: ComplianceModel,
     noise: NoiseModel,
     stream_offset: int = 0,
-) -> list[SweepSample]:
+) -> tuple[np.ndarray, np.ndarray, list[CorrespondenceSet]]:
     """Single-axis sweep: one synthesized frame per magnitude, input order.
 
-    Per-frame seeds derive from (noise.seed, stream_offset + index), so
-    repeated magnitudes share ground truth but draw distinct noise.
+    Returns (wrenches, deformations, frames): the applied wrenches and the
+    true deformations as (B, 6) arrays, and the B observed frames, each
+    drawn as :func:`synthesize_frame` draws it. Per-frame seeds derive from
+    (noise.seed, stream_offset + index), so repeated magnitudes share ground
+    truth but draw distinct noise.
     """
-    samples = []
+    count = len(magnitudes)
+    wrenches, deformations = np.zeros((count, 6)), np.zeros((count, 6))
+    frames = []
     for i, magnitude in enumerate(magnitudes):
         wrench = Wrench.single_axis(axis, float(magnitude))
+        delta = deform(compliance, wrench)
         frame_noise = replace(noise, seed=derive_seed(noise.seed, stream_offset + i))
-        corrs, _ = synthesize_frame(
-            camera, layout, reference_pose, wrench, compliance, frame_noise
-        )
-        samples.append(
-            SweepSample(
-                axis=axis,
-                magnitude=float(magnitude),
-                wrench=wrench,
-                deformation=deform(compliance, wrench),
-                correspondences=corrs,
-            )
-        )
-    return samples
+        frames.append(_observe(camera, layout, apply_delta(reference_pose, delta), frame_noise))
+        wrenches[i] = wrench.as_array()
+        deformations[i] = delta.as_array()
+    return wrenches, deformations, frames

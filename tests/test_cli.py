@@ -438,6 +438,21 @@ def test_malformed_poses_are_validation_errors(tmp_path, capsys, pipeline_dir, c
     assert f"{poses} line 3: bad pose row:" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["estimate", "--frames", "{data}"], "frames.jsonl"),
+    (["monitor", "--threshold", "0.5", "--frames", "12", "--poses", "{data}"], "poses.jsonl"),
+    (["calibrate", "--data", "{data}"], "sweep.csv"),
+], ids=["estimate_frames", "monitor_poses", "calibrate_data"])
+def test_non_utf8_input_is_validation_error(tmp_path, capsys, pipeline_dir, argv, name):
+    lines = (pipeline_dir / name).read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    data = tmp_path / name
+    data.write_bytes(b"".join(lines))
+    rc = main([a.format(data=data) for a in argv] + ["--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {data} line 3: byte 0xff is not UTF-8\n"
+
+
 @pytest.mark.parametrize("flag", ["--start-joints", "--target-joints"])
 def test_non_numeric_joints_are_validation_errors(tmp_path, capsys, pipeline_dir, flag):
     rc = main(["monitor", "--threshold", "0.5", "--frames", "12", flag, "a,b",

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsense.errors import LayoutOverlap, TooFewTagsVisible, UnknownTagId, ValidationFailure
 from ringsense.layout import (
@@ -148,3 +151,78 @@ def test_layout_json_round_trip(layout):
     assert data["border_mm"] == 0.2
     assert len(data["tags"]) == 35
     assert TagLayout.from_dict(data) == layout
+
+
+# ------------------------------------------------------------ corner table
+
+def closed_form_corners(tag, tag_size):
+    """Per-tag reference: the rotation and translation of the unit corners,
+    evaluated as one (4, 2) expression for this tag alone."""
+    half = tag_size / 2.0
+    c, s = math.cos(tag.yaw), math.sin(tag.yaw)
+    rot = np.array([[c, -s], [s, c]])
+    signs = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    corners = np.zeros((4, 3))
+    corners[:, :2] = signs * half @ rot.T + np.array(tag.center)
+    return corners
+
+
+# Centers 10 mm apart along x, jittered by at most 2 mm, never crowd a
+# footprint of at most 4 + 2 * 0.5 = 5 mm.
+@st.composite
+def layouts(draw):
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n, unique=True))
+    jitter = st.floats(-2.0, 2.0)
+    tags = tuple(
+        TagPlacement(tag_id, (10.0 * i + draw(jitter), draw(jitter)),
+                     draw(st.floats(-2 * math.pi, 2 * math.pi)))
+        for i, tag_id in enumerate(ids)
+    )
+    return TagLayout(tags=tags, tag_size=draw(st.floats(0.1, 4.0)),
+                     border=draw(st.floats(0.0, 0.5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts())
+def test_corner_table_matches_closed_form_bit_for_bit(layout):
+    for tag in layout.tags:
+        expected = closed_form_corners(tag, layout.tag_size)
+        assert corners_ref(layout, tag.tag_id).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(layouts())
+def test_corner_table_returns_independent_copies(layout):
+    tag_id = layout.tags[0].tag_id
+    expected = closed_form_corners(layout.tags[0], layout.tag_size)
+    corners_ref(layout, tag_id)[:] = 99.0
+    _, _, pts = all_corners(layout)
+    pts[:] = -99.0
+    assert corners_ref(layout, tag_id).tobytes() == expected.tobytes()
+    assert all_corners(layout)[2][:4].tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(layouts())
+def test_all_corners_concatenates_the_per_tag_corners(layout):
+    ids, idx, pts = all_corners(layout)
+    assert ids.tolist() == [t.tag_id for t in layout.tags for _ in range(4)]
+    assert idx.tolist() == [0, 1, 2, 3] * len(layout)
+    expected = np.concatenate([corners_ref(layout, t.tag_id) for t in layout.tags])
+    assert pts.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(layouts(), st.floats(0.1, 4.0))
+def test_layout_equality_hash_and_replace_see_only_the_fields(layout, tag_size):
+    same = TagLayout(tags=layout.tags, tag_size=layout.tag_size, border=layout.border)
+    assert same == layout
+    assert hash(same) == hash(layout) == hash((layout.tags, layout.tag_size, layout.border))
+    assert repr(layout) == (f"TagLayout(tags={layout.tags!r}, tag_size={layout.tag_size!r}, "
+                            f"border={layout.border!r})")
+    resized = replace(layout, tag_size=tag_size)
+    assert (resized == layout) == (tag_size == layout.tag_size)
+    for tag in layout.tags:
+        expected = closed_form_corners(tag, tag_size)
+        assert corners_ref(resized, tag.tag_id).tobytes() == expected.tobytes()

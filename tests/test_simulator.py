@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsense.errors import (
     CornerOutOfImage,
@@ -8,6 +12,8 @@ from ringsense.errors import (
     ValidationFailure,
 )
 
+from ringsense.geometry import apply_delta
+from ringsense.layout import visible_subset
 from ringsense.pnp import estimate_pose
 from ringsense.simulator import (
     ComplianceModel,
@@ -18,6 +24,7 @@ from ringsense.simulator import (
     default_reference_pose,
     deform,
     derive_seed,
+    project_layout,
     sweep_dataset,
     synthesize_frame,
 )
@@ -180,15 +187,61 @@ def test_synthesize_corner_out_of_image(camera, layout, reference_pose, complian
                          NoiseModel(corner_sigma=0.0, seed=0))
 
 
+def _frame_through_visible_subset(camera, layout, reference_pose, wrench, compliance, noise):
+    """Reference synthesizer: drop tags by building a reduced layout with
+    visible_subset, then project it, with the same RNG draws in the same order."""
+    rng = np.random.default_rng(noise.seed)
+    truth = apply_delta(reference_pose, deform(compliance, wrench))
+    visible = layout
+    if noise.occlusion_probability > 0:
+        drop = rng.random(len(layout)) < noise.occlusion_probability
+        visible = visible_subset(layout, {t.tag_id for t, d in zip(layout.tags, drop) if d})
+    exact = project_layout(camera, visible, truth)
+    img = exact.img + rng.normal(0.0, noise.corner_sigma, size=exact.img.shape)
+    return replace(exact, img=img)
+
+
+@settings(max_examples=80, deadline=None)
+@given(occlusion=st.floats(0.0, 0.5), seed=st.integers(0, 2**63 - 1),
+       fractions=st.lists(st.floats(-0.4, 0.4), min_size=6, max_size=6))
+def test_occlusion_mask_matches_visible_subset(camera, layout, reference_pose, compliance,
+                                               occlusion, seed, fractions):
+    # Within 0.4 of every limit at once, all corners stay inside the image.
+    limits = compliance.deformation_limit / np.diag(compliance.compliance)
+    wrench = Wrench.from_array(np.array(fractions) * limits)
+    noise = NoiseModel(corner_sigma=0.25, occlusion_probability=occlusion, seed=seed)
+    corrs, _ = synthesize_frame(camera, layout, reference_pose, wrench, compliance, noise)
+    expected = _frame_through_visible_subset(camera, layout, reference_pose, wrench,
+                                             compliance, noise)
+    assert corrs == expected
+
+
+def test_too_few_tags_message_matches_visible_subset(camera, layout, reference_pose,
+                                                     compliance):
+    p = 0.97
+    seed = next(s for s in range(1000)
+                if np.count_nonzero(np.random.default_rng(s).random(len(layout)) < p) == 34)
+    noise = NoiseModel(corner_sigma=0.25, occlusion_probability=p, seed=seed)
+    with pytest.raises(TooFewTagsVisible) as masked:
+        synthesize_frame(camera, layout, reference_pose, Wrench(0, 0, 0, 0, 0, 0),
+                         compliance, noise)
+    with pytest.raises(TooFewTagsVisible) as subset:
+        _frame_through_visible_subset(camera, layout, reference_pose,
+                                      Wrench(0, 0, 0, 0, 0, 0), compliance, noise)
+    assert str(masked.value) == str(subset.value)
+    assert str(masked.value) == "only 1 tag(s) remain after masking; at least 2 required"
+
+
 # ------------------------------------------------------------------ sweep
 
 def test_sweep_monotone_dlz(camera, layout, reference_pose, compliance):
-    samples = sweep_dataset(2, [0.0, 5.0, 10.0], camera, layout, reference_pose,
-                            compliance, NoiseModel(corner_sigma=0.0, seed=0))
-    dlz = [s.deformation.dl_z for s in samples]
+    wrenches, deformations, _ = sweep_dataset(2, [0.0, 5.0, 10.0], camera, layout,
+                                              reference_pose, compliance,
+                                              NoiseModel(corner_sigma=0.0, seed=0))
+    dlz = deformations[:, 2]
     assert dlz[0] < dlz[1] < dlz[2]
-    assert [s.wrench.fz for s in samples] == [0.0, 5.0, 10.0]
-    assert all(s.wrench.fx == 0.0 and s.wrench.ty == 0.0 for s in samples)
+    assert wrenches[:, 2].tolist() == [0.0, 5.0, 10.0]
+    assert np.all(wrenches[:, 0] == 0.0) and np.all(wrenches[:, 4] == 0.0)
 
 
 def test_sweep_paper_scale_sample_count(camera, layout, reference_pose, compliance):
@@ -201,10 +254,10 @@ def test_sweep_paper_scale_sample_count(camera, layout, reference_pose, complian
 
 def test_sweep_duplicate_magnitudes_share_truth_distinct_noise(
         camera, layout, reference_pose, compliance):
-    samples = sweep_dataset(0, [5.0, 5.0], camera, layout, reference_pose,
-                            compliance, NoiseModel(corner_sigma=0.25, seed=3))
-    assert samples[0].deformation == samples[1].deformation
-    assert samples[0].correspondences != samples[1].correspondences
+    _, deformations, frames = sweep_dataset(0, [5.0, 5.0], camera, layout, reference_pose,
+                                            compliance, NoiseModel(corner_sigma=0.25, seed=3))
+    assert np.array_equal(deformations[0], deformations[1])
+    assert frames[0] != frames[1]
 
 
 def test_axis_magnitudes_respect_limits(compliance):
