@@ -4,7 +4,9 @@ Subcommands: layout, simulate, estimate, calibrate, sensitivity, monitor,
 pipeline. All randomness flows from a single --seed; per-stage seeds are
 derived by stable hashing of (seed, stage name). Commands that write into
 an output directory leave exactly one manifest.json there; re-running with
-identical arguments reproduces byte-identical numeric outputs.
+identical arguments reproduces byte-identical numeric outputs. frames.jsonl
+rows are formatted from a per-layout template, byte-identical to
+json.dumps(row, sort_keys=True).
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O failure.
 """
@@ -16,6 +18,7 @@ import csv
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -154,18 +157,20 @@ def _load_layout(path: str | None) -> TagLayout:
     return _load_json(Path(path), TagLayout.from_dict, "layout")
 
 
-def _corrs_to_row(frame: int, timestamp: float, corrs: CorrespondenceSet) -> dict:
-    return {
-        "frame": frame,
-        "timestamp_s": timestamp,
-        "entries": [
-            {"tag_id": tag_id, "corner": corner, "ref_mm": ref, "img_px": img}
-            for tag_id, corner, ref, img in zip(
-                corrs.tag_ids.tolist(), corrs.corner_idx.tolist(),
-                corrs.ref.tolist(), corrs.img.tolist(),
-            )
-        ],
-    }
+def _frame_lines(numbered_frames):
+    """The frames.jsonl line of each (number, frame) pair, byte for byte ``json.dumps(row,
+    sort_keys=True)`` (json writes ints and finite floats as repr). The text fixed by ids,
+    corners and reference points is a %-template, rebuilt only when those bytes change."""
+    key = template = None
+    for i, corrs in numbered_frames:
+        frame_key = (corrs.tag_ids.tobytes(), corrs.corner_idx.tobytes(), corrs.ref.tobytes())
+        if frame_key != key:
+            key = frame_key
+            entries = (f'{{"corner": {c}, "img_px": [%r, %r], "ref_mm": [{x!r}, {y!r}, {z!r}], '
+                       f'"tag_id": {t}}}' for t, c, (x, y, z) in zip(
+                           corrs.tag_ids.tolist(), corrs.corner_idx.tolist(), corrs.ref.tolist()))
+            template = '{"entries": [' + ", ".join(entries) + '], "frame": %d, "timestamp_s": %r}\n'
+        yield template % (*corrs.img.ravel().tolist(), i, i * 0.02)
 
 
 def _corrs_from_row(row: dict) -> CorrespondenceSet:
@@ -265,8 +270,8 @@ def _write_simulation(out_dir: Path, axes, magnitudes, wrenches: np.ndarray,
                       deformations: np.ndarray, frames: list[CorrespondenceSet]) -> None:
     """Write sweep.csv and frames.jsonl, one row per frame."""
     _write_sweep_csv(out_dir / "sweep.csv", axes, magnitudes, wrenches, deformations)
-    _dump_jsonl(out_dir / "frames.jsonl",
-                (_corrs_to_row(i, i * 0.02, corrs) for i, corrs in enumerate(frames)))
+    with (out_dir / "frames.jsonl").open("w", encoding="utf-8") as fh:
+        fh.writelines(_frame_lines(enumerate(frames)))
 
 
 def _cmd_simulate(args) -> int:
@@ -428,8 +433,10 @@ def _cmd_monitor(args) -> int:
 # ---------------------------------------------------------------- pipeline
 
 def _stage(name: str, fn, *fn_args, **fn_kwargs):
+    """``fn``'s result and wall time in seconds; a RingSenseError names the stage."""
+    start = time.perf_counter()
     try:
-        return fn(*fn_args, **fn_kwargs)
+        return fn(*fn_args, **fn_kwargs), time.perf_counter() - start
     except RingSenseError as exc:
         raise type(exc)(f"stage '{name}': {exc}") from exc
 
@@ -442,30 +449,33 @@ def _cmd_pipeline(args) -> int:
     compliance = default_compliance()
     reference = default_reference_pose()
 
-    axes, magnitudes, wrenches, deformations, frames = _stage(
+    (axes, magnitudes, wrenches, deformations, frames), took = _stage(
         "simulate", _run_sweeps, camera, layout, reference, compliance,
         args.sigma, 0.0, args.seed, list(range(6)), args.samples_per_axis, args.span)
-    _write_simulation(out_dir, axes, magnitudes, wrenches, deformations, frames)
-    _info(args, f"simulated {len(frames)} frames")
+    _info(args, f"simulated {len(frames)} frames in {took:.3g} s")
+    _, took = _stage("write", _write_simulation, out_dir, axes, magnitudes, wrenches,
+                     deformations, frames)
+    _info(args, f"wrote sweep.csv and frames.jsonl in {took:.3g} s")
 
-    estimates = _stage("estimate", estimate_poses, camera, frames)
+    estimates, took = _stage("estimate", estimate_poses, camera, frames)
     _dump_jsonl(out_dir / "poses.jsonl",
                 ({"frame": i, **e.to_dict()} for i, e in enumerate(estimates)))
     deltas = np.array([delta_from_poses(reference, e.pose).as_array()
                        for e in estimates]).reshape(-1, 6)
     _write_sweep_csv(out_dir / "sweep_estimated.csv", axes, magnitudes, wrenches, deltas)
-    _info(args, f"estimated {len(estimates)} poses; {_solver_summary(estimates)}")
+    _info(args, f"estimated {len(estimates)} poses in {took:.3g} s; {_solver_summary(estimates)}")
 
-    report = _stage("calibrate", calibrate, deltas, wrenches, CalibrationConfig(
+    report, took = _stage("calibrate", calibrate, deltas, wrenches, CalibrationConfig(
         degree=1, split_fraction=args.split,
         seed=derive_seed(args.seed, "calibrate") % 2**32,
     ))
     _dump_json(out_dir / "calib.json", report.to_dict())
-    _info(args, "r2_test per axis: " + ", ".join(
+    _info(args, f"calibrated in {took:.3g} s; r2_test per axis: " + ", ".join(
         f"{m.axis}:{m.r2_test:.5f}" for m in report.models))
 
-    payload = _stage("sensitivity", _sensitivity_payload, DetectionParams(), report)
+    payload, took = _stage("sensitivity", _sensitivity_payload, DetectionParams(), report)
     _dump_json(out_dir / "sensitivity.json", payload)
+    _info(args, f"analyzed sensitivity in {took:.3g} s")
 
     config = {
         "samples_per_axis": args.samples_per_axis, "sigma": args.sigma,

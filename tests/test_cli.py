@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,19 @@ def test_pipeline_outputs(pipeline_dir):
     assert np.max(rel) < 0.01
     poses = read_jsonl(pipeline_dir / "poses.jsonl")
     assert all(r["converged"] for r in poses)
+
+
+def test_pipeline_reports_stage_times_unless_quiet(tmp_path, capsys):
+    argv = ["pipeline", "--seed", "7", "--samples-per-axis", "20"]
+    assert main(argv + ["--out", str(tmp_path / "loud")]) == 0
+    err = capsys.readouterr().err
+    for stage in (r"simulated 120 frames", r"wrote sweep\.csv and frames\.jsonl",
+                  r"estimated 120 poses", r"calibrated", r"analyzed sensitivity"):
+        assert re.search(stage + r" in \d[\d.e+-]* s", err), stage
+    assert main(argv + ["--out", str(tmp_path / "quiet"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    for path in sorted((tmp_path / "loud").iterdir()):
+        assert path.read_bytes() == (tmp_path / "quiet" / path.name).read_bytes(), path.name
 
 
 def test_pipeline_zero_noise_r2(tmp_path):

@@ -5,28 +5,32 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ringsense.cli import _corrs_from_row, _corrs_to_row
+from ringsense.cli import _corrs_from_row, _frame_lines
 from ringsense.errors import ValidationFailure
 from ringsense.pnp import CorrespondenceSet
 
 FIELDS = ("tag_ids", "corner_idx", "ref", "img")
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# Zeros of both signs, subnormals and the ends of the float range, drawn often.
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.7976931348623157e308]),
+    finite)
 
 
 @st.composite
-def valid_arrays(draw, min_size=0):
+def valid_arrays(draw, min_size=0, elements=finite):
     keys = sorted(draw(st.sets(st.tuples(st.integers(0, 10**6), st.integers(0, 3)),
                                min_size=min_size, max_size=24)))
     n = len(keys)
     return {
         "tag_ids": np.array([k[0] for k in keys], dtype=np.int64),
         "corner_idx": np.array([k[1] for k in keys], dtype=np.int64),
-        "ref": draw(arrays(np.float64, (n, 3), elements=finite)),
-        "img": draw(arrays(np.float64, (n, 2), elements=finite)),
+        "ref": draw(arrays(np.float64, (n, 3), elements=elements)),
+        "img": draw(arrays(np.float64, (n, 2), elements=elements)),
     }
 
 
@@ -34,7 +38,7 @@ def valid_arrays(draw, min_size=0):
 @given(valid_arrays(), st.integers(0, 10**6))
 def test_row_round_trip(fields, frame):
     corrs = CorrespondenceSet(**fields)
-    row = json.loads(json.dumps(_corrs_to_row(frame, 0.02 * frame, corrs)))
+    row = json.loads(next(_frame_lines([(frame, corrs)])))
     assert row["frame"] == frame
     assert _corrs_from_row(row) == corrs
     assert len(corrs) == len(fields["tag_ids"])
@@ -89,3 +93,66 @@ def test_arrays_are_read_only_copies(fields):
         assert not np.shares_memory(getattr(corrs, name), fields[name])
     with pytest.raises(dataclasses.FrozenInstanceError):
         corrs.img = np.zeros((len(corrs), 2))
+
+
+def oracle_line(frame, corrs):
+    """A frames.jsonl line as a dict row encoded by json, the writer's reference."""
+    row = {
+        "frame": frame,
+        "timestamp_s": frame * 0.02,
+        "entries": [
+            {"tag_id": tag_id, "corner": corner, "ref_mm": ref, "img_px": img}
+            for tag_id, corner, ref, img in zip(
+                corrs.tag_ids.tolist(), corrs.corner_idx.tolist(),
+                corrs.ref.tolist(), corrs.img.tolist())
+        ],
+    }
+    return json.dumps(row, sort_keys=True) + "\n"
+
+
+def _set(tag_ids, corner_idx, ref, img):
+    return CorrespondenceSet(tag_ids=np.array(tag_ids, dtype=np.int64),
+                             corner_idx=np.array(corner_idx, dtype=np.int64),
+                             ref=np.array(ref, dtype=np.float64).reshape(-1, 3),
+                             img=np.array(img, dtype=np.float64).reshape(-1, 2))
+
+
+@st.composite
+def frame_sequences(draw):
+    """Frames in which each one after the first keeps the previous ids and
+    reference points with new pixels, negates one reference coordinate (0.0
+    becomes -0.0), shifts every corner index, is a new frame or is empty."""
+    frames = [CorrespondenceSet(**draw(valid_arrays(elements=edge_floats)))]
+    for _ in range(draw(st.integers(0, 8))):
+        prev = frames[-1]
+        n = len(prev)
+        step = draw(st.sampled_from(["img", "ref", "corner", "new", "empty"]))
+        if step == "new" or (n == 0 and step != "empty"):
+            frames.append(CorrespondenceSet(**draw(valid_arrays(elements=edge_floats))))
+        elif step == "empty":
+            frames.append(_set([], [], [], []))
+        else:
+            ref, corner_idx = prev.ref.copy(), prev.corner_idx
+            if step == "ref":
+                i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 2))
+                ref[i, j] = -ref[i, j]
+            elif step == "corner":
+                corner_idx = (corner_idx + 1) % 4
+            img = draw(arrays(np.float64, (n, 2), elements=edge_floats))
+            frames.append(_set(prev.tag_ids, corner_idx, ref, img))
+    return frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_sequences(), st.integers(0, 10**6))
+@example([_set([10**6, 10**6], [0, 1], [[0.0, 5e-324, 1e308], [-1e308, 1.5, -0.0]],
+               [[0.0, -0.0], [5e-324, -1e308]]),
+          _set([10**6, 10**6], [0, 1], [[-0.0, 5e-324, 1e308], [-1e308, 1.5, -0.0]],
+               [[-0.0, 0.0], [1e-310, 1e308]]),
+          _set([10**6, 10**6], [1, 2], [[-0.0, 5e-324, 1e308], [-1e308, 1.5, -0.0]],
+               [[1.0, 2.0], [3.0, 4.0]]),
+          _set([], [], [], []),
+          _set([0], [3], [[1.0, 2.0, 3.0]], [[0.5, -0.5]])], 0)
+def test_frame_lines_match_json_dumps(frames, first):
+    numbered = list(enumerate(frames, first))
+    assert list(_frame_lines(numbered)) == [oracle_line(i, corrs) for i, corrs in numbered]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringsense.cli import _run_sweeps
 from ringsense.errors import (
     CornerOutOfImage,
     DeformationLimitExceeded,
@@ -250,6 +251,21 @@ def test_sweep_paper_scale_sample_count(camera, layout, reference_pose, complian
         magnitudes = axis_magnitudes(compliance, axis, 170)
         total += len(magnitudes)
     assert total == 1020
+
+
+def test_run_sweeps_paper_scale_returns_1020_frames(camera, layout, reference_pose, compliance):
+    axes, magnitudes, wrenches, deformations, frames = _run_sweeps(
+        camera, layout, reference_pose, compliance, 0.25, 0.0, 7, list(range(6)), 170, 0.8)
+    assert len(axes) == 1020
+    assert len(magnitudes) == 1020
+    assert wrenches.shape == (1020, 6)
+    assert deformations.shape == (1020, 6)
+    assert len(frames) == 1020
+    rows = np.arange(1020)
+    off_axis = wrenches.copy()
+    off_axis[rows, axes] = 0.0
+    assert not off_axis.any()
+    assert np.array_equal(wrenches[rows, axes], magnitudes)
 
 
 def test_sweep_duplicate_magnitudes_share_truth_distinct_noise(
