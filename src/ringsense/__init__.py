@@ -44,7 +44,6 @@ from .layout import TagLayout, TagPlacement, corners_ref, default_layout, visibl
 from .pnp import (
     CorrespondenceSet,
     PoseEstimate,
-    SolverConfig,
     epnp_initialize,
     estimate_pose,
     estimate_poses,
@@ -94,7 +93,6 @@ __all__ = [
     "PoseEstimate",
     "RigidTransform",
     "SensitivityResult",
-    "SolverConfig",
     "TagLayout",
     "TagPlacement",
     "Wrench",

@@ -107,6 +107,8 @@ class CalibrationReport:
             raise ValidationFailure("report must contain exactly 6 axis models")
         if sorted(m.axis for m in self.models) != list(range(6)):
             raise ValidationFailure("report must contain one model per wrench axis")
+        if not 0 < self.split_fraction < 1:
+            raise ValidationFailure(f"split_fraction must be in (0, 1), got {self.split_fraction}")
 
     def model_for_axis(self, axis: int) -> AxisModel:
         for m in self.models:
@@ -148,6 +150,8 @@ def split_indices(n: int, fraction: float = 0.8, seed: int = 0) -> tuple[np.ndar
         raise ValidationFailure(f"fraction must be in (0, 1), got {fraction}")
     if n < 10:
         raise TooFewSamples(f"need at least 10 pairs to split, got {n}")
+    if seed < 0:
+        raise ValidationFailure(f"split seed must be a non-negative integer, got {seed}")
     order = np.random.default_rng(seed).permutation(n)
     n_train = round(fraction * n)
     return order[:n_train], order[n_train:]

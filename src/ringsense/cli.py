@@ -31,6 +31,7 @@ from .calibration import (
     split_indices,
 )
 from .contact import (
+    CONTROL_INTERVAL_S,
     ApproachTrajectory,
     ContactConfig,
     config_for_object,
@@ -170,7 +171,7 @@ def _frame_lines(numbered_frames):
                        f'"tag_id": {t}}}' for t, c, (x, y, z) in zip(
                            corrs.tag_ids.tolist(), corrs.corner_idx.tolist(), corrs.ref.tolist()))
             template = '{"entries": [' + ", ".join(entries) + '], "frame": %d, "timestamp_s": %r}\n'
-        yield template % (*corrs.img.ravel().tolist(), i, i * 0.02)
+        yield template % (*corrs.img.ravel().tolist(), i, i * CONTROL_INTERVAL_S)
 
 
 def _corrs_from_row(row: dict) -> CorrespondenceSet:
@@ -409,7 +410,7 @@ def _cmd_monitor(args) -> int:
         "config": {
             "threshold_mm": config.threshold_mm,
             "total_frames": config.total_frames,
-            "control_interval_s": config.control_interval_s,
+            "control_interval_s": CONTROL_INTERVAL_S,
             "debounce_frames": config.debounce_frames,
         },
         "event": None if result.event is None else {

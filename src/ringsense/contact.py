@@ -32,6 +32,7 @@ from .geometry import (
 )
 from .pnp import PoseEstimate
 
+# The one frame period (s): the control step, and the frames.jsonl timestamp step.
 CONTROL_INTERVAL_S = 0.02
 
 # Per-object grasp presets: (contact threshold mm, total approach frames).
@@ -57,7 +58,6 @@ PHASE_LIFTED = "lifted"
 class ContactConfig:
     threshold_mm: float
     total_frames: int
-    control_interval_s: float = CONTROL_INTERVAL_S
     debounce_frames: int = 1
 
     def __post_init__(self) -> None:

@@ -108,9 +108,10 @@ class PinholeCamera:
     image_height: float
 
     def __post_init__(self) -> None:
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValidationFailure("focal lengths must be positive")
-        if not (0 <= self.cx <= self.image_width and 0 <= self.cy <= self.image_height):
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValidationFailure("focal lengths must be finite and positive")
+        if not (0 <= self.cx <= self.image_width < math.inf
+                and 0 <= self.cy <= self.image_height < math.inf):
             raise ValidationFailure("principal point must lie inside the image")
 
     def contains(self, uv: np.ndarray) -> np.ndarray:
@@ -141,24 +142,14 @@ class PinholeCamera:
         )
 
 
-def default_camera(
-    horizontal_fov_deg: float = 120.0,
-    image_width: int = 256,
-    image_height: int = 192,
-) -> PinholeCamera:
-    """Camera with a 120 deg horizontal field of view at 256 px width.
+def default_camera() -> PinholeCamera:
+    """The sensor camera: 120 deg horizontal field of view, 256 x 192 px.
 
-    fx = (width/2) / tan(fov/2) ~= 73.9 px by default.
+    fx = fy = (256/2) / tan(60 deg) ~= 73.9 px, principal point at the image
+    centre (128, 96). Any other camera is a ``PinholeCamera`` (``--camera``).
     """
-    f = (image_width / 2.0) / math.tan(math.radians(horizontal_fov_deg) / 2.0)
-    return PinholeCamera(
-        fx=f,
-        fy=f,
-        cx=image_width / 2.0,
-        cy=image_height / 2.0,
-        image_width=float(image_width),
-        image_height=float(image_height),
-    )
+    f = 128.0 / math.tan(math.radians(120.0) / 2.0)
+    return PinholeCamera(fx=f, fy=f, cx=128.0, cy=96.0, image_width=256.0, image_height=192.0)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import LayoutOverlap, TooFewTagsVisible, UnknownTagId, ValidationFailure
 
+_RING_COUNT = 26  # tags on the ring around the 3x3 grid of default_layout
 # Local corner order: counter-clockwise from bottom-left, unit half-size.
 _CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
@@ -122,7 +123,6 @@ def default_layout(
     grid_pitch: float = 2.6,
     ring_radius: float = 8.0,
     ring_spread: float = 1.0,
-    ring_count: int = 26,
 ) -> TagLayout:
     """Deterministic 35-tag layout: 3x3 grid plus a 26-tag surrounding ring.
 
@@ -136,8 +136,8 @@ def default_layout(
         for gx in (-grid_pitch, 0.0, grid_pitch):
             tags.append(TagPlacement(tag_id, (gx, gy), 0.0))
             tag_id += 1
-    inner_count = ring_count // 2
-    outer_count = ring_count - inner_count
+    inner_count = _RING_COUNT // 2
+    outer_count = _RING_COUNT - inner_count
     for k in range(inner_count):
         angle = 2.0 * math.pi * k / inner_count
         r = ring_radius - ring_spread

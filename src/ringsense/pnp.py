@@ -24,6 +24,13 @@ where it is faster; that loop is also the reference the batched LM is
 tested against. A batched estimate matches the per-frame one to rounding,
 not bit for bit.
 
+LM runs with fixed module constants: at most ``_MAX_ITERATIONS`` (50)
+iterations; convergence when an accepted step lowers the cost by a relative
+``_COST_TOLERANCE`` (1e-10) or less, or the step norm falls below
+``_STEP_TOLERANCE`` (1e-12); damping starts at ``_INITIAL_DAMPING`` (1e-3)
+and is multiplied by ``_DAMPING_UP`` (10) after a rejected step and by
+``_DAMPING_DOWN`` (1/3) after an accepted one.
+
 Solvers are pure functions of their inputs; identical inputs give
 bit-identical estimates. There is no outlier rejection: correspondences
 carry known associations (simulated or id-decoded), so every entry enters
@@ -53,6 +60,14 @@ from .geometry import PinholeCamera, RigidTransform, _pinhole
 _PLANAR_TOL = 1e-7
 # Frames solved together: bounds the stacked arrays, and so the memory, of one chunk.
 CHUNK_FRAMES = 64
+# Levenberg-Marquardt settings; they converge well below the noise floor on
+# 140-corner problems. The loops read them at call time.
+_MAX_ITERATIONS = 50
+_COST_TOLERANCE = 1e-10
+_STEP_TOLERANCE = 1e-12
+_INITIAL_DAMPING = 1e-3
+_DAMPING_UP = 10.0
+_DAMPING_DOWN = 1.0 / 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,27 +121,6 @@ class CorrespondenceSet:
     @property
     def tag_count(self) -> int:
         return len(np.unique(self.tag_ids))
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Levenberg-Marquardt knobs; defaults converge well below the noise
-    floor on 140-corner problems."""
-
-    max_iterations: int = 50
-    cost_tolerance: float = 1e-10
-    step_tolerance: float = 1e-12
-    initial_damping: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 1.0 / 3.0
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValidationFailure("max_iterations must be >= 1")
-        if min(self.cost_tolerance, self.step_tolerance, self.initial_damping) <= 0:
-            raise ValidationFailure("tolerances and initial damping must be positive")
-        if not (self.damping_up > 1.0 > self.damping_down > 0.0):
-            raise ValidationFailure("need damping_up > 1 > damping_down > 0")
 
 
 @dataclass(frozen=True)
@@ -283,7 +277,7 @@ def _estimate(rotation, translation, cost, n, iterations, converged, trace) -> P
     )
 
 
-def _refine_frame(camera, ref, img, init: RigidTransform, config: SolverConfig) -> PoseEstimate:
+def _refine_frame(camera, ref, img, init: RigidTransform) -> PoseEstimate:
     """Levenberg-Marquardt on one frame; the reference for ``_refine_chunk``."""
     rotation = init.rotation.copy()
     translation = init.translation.copy()
@@ -293,12 +287,12 @@ def _refine_frame(camera, ref, img, init: RigidTransform, config: SolverConfig) 
         raise NonPositiveDepth("initial pose places points behind the camera")
     cost = float(r @ r)
     trace = [cost]
-    lam = config.initial_damping
+    lam = _INITIAL_DAMPING
     converged = False
     iterations = 0
     h = None  # J^T J at the current pose; a rejected step keeps it
 
-    while iterations < config.max_iterations:
+    while iterations < _MAX_ITERATIONS:
         iterations += 1
         if h is None:
             jac = _jacobian_block(camera, rotation, translation, ref)
@@ -307,7 +301,7 @@ def _refine_frame(camera, ref, img, init: RigidTransform, config: SolverConfig) 
         try:
             step = np.linalg.solve(h + lam * np.eye(6), -g)
         except np.linalg.LinAlgError:
-            lam *= config.damping_up
+            lam *= _DAMPING_UP
             continue
         cand_rot = _so3_exp(step[3:]) @ rotation
         cand_t = translation + step[:3]
@@ -318,13 +312,13 @@ def _refine_frame(camera, ref, img, init: RigidTransform, config: SolverConfig) 
             rotation, translation, r, cost = cand_rot, cand_t, cand_r, cand_cost
             trace.append(cost)
             h = None
-            lam *= config.damping_down
-            if rel_decrease < config.cost_tolerance or float(np.linalg.norm(step)) < config.step_tolerance:
+            lam *= _DAMPING_DOWN
+            if rel_decrease < _COST_TOLERANCE or float(np.linalg.norm(step)) < _STEP_TOLERANCE:
                 converged = True
                 break
         else:
-            lam *= config.damping_up
-            if float(np.linalg.norm(step)) < config.step_tolerance:
+            lam *= _DAMPING_UP
+            if float(np.linalg.norm(step)) < _STEP_TOLERANCE:
                 converged = True
                 break
 
@@ -332,14 +326,13 @@ def _refine_frame(camera, ref, img, init: RigidTransform, config: SolverConfig) 
                      iterations, converged, trace)
 
 
-def _refine_chunk(camera, ref, img, rotation, translation,
-                  config: SolverConfig) -> list[PoseEstimate]:
+def _refine_chunk(camera, ref, img, rotation, translation) -> list[PoseEstimate]:
     """``_refine_frame`` on B frames at once: ref (B, n, 3), img (B, n, 2)
     and initial poses rotation (B, 3, 3), translation (B, 3).
 
     Every frame keeps its own damping, accept/reject decisions and cost
     trace. The frames share one iteration counter; a frame leaves the chunk
-    when it converges or the counter reaches ``max_iterations``, and its
+    when it converges or the counter reaches ``_MAX_ITERATIONS``, and its
     normal equations are rebuilt only after it accepts a step.
     """
     b, n = ref.shape[:2]
@@ -348,13 +341,13 @@ def _refine_chunk(camera, ref, img, rotation, translation,
         raise NonPositiveDepth("initial pose places points behind the camera")
     cost = (r * r).sum(axis=1)
     traces = [[c] for c in cost.tolist()]
-    lam = np.full(b, config.initial_damping)
+    lam = np.full(b, _INITIAL_DAMPING)
     ids = np.arange(b)  # input position of each row still in the chunk
     stale = np.ones(b, dtype=bool)  # rows whose pose moved since h, g were built
     h, g = np.empty((b, 6, 6)), np.empty((b, 6))
     out: list[PoseEstimate | None] = [None] * b
 
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         if stale.any():
             jac = _jacobian_block(camera, rotation[stale], translation[stale], ref[stale])
             jac_t = jac.swapaxes(1, 2)
@@ -367,19 +360,19 @@ def _refine_chunk(camera, ref, img, rotation, translation,
         cand_cost = np.where(ahead, (cand_r * cand_r).sum(axis=1), np.inf)
         accept = cand_cost < cost
         rel_decrease = (cost - cand_cost) / np.maximum(cost, 1e-300)
-        converged = (np.linalg.norm(step, axis=1) < config.step_tolerance) | (
-            accept & (rel_decrease < config.cost_tolerance))
+        converged = (np.linalg.norm(step, axis=1) < _STEP_TOLERANCE) | (
+            accept & (rel_decrease < _COST_TOLERANCE))
 
         rotation = np.where(accept[:, None, None], cand_rot, rotation)
         translation = np.where(accept[:, None], cand_t, translation)
         r = np.where(accept[:, None], cand_r, r)
         cost = np.where(accept, cand_cost, cost)
-        lam = lam * np.where(accept, config.damping_down, config.damping_up)
+        lam = lam * np.where(accept, _DAMPING_DOWN, _DAMPING_UP)
         stale = accept
         for i in np.flatnonzero(accept).tolist():
             traces[ids[i]].append(float(cost[i]))
 
-        leave = converged if iteration < config.max_iterations else np.ones(len(ids), dtype=bool)
+        leave = converged if iteration < _MAX_ITERATIONS else np.ones(len(ids), dtype=bool)
         if leave.any():
             for i, rot in zip(np.flatnonzero(leave).tolist(), _orthonormalize(rotation[leave])):
                 out[ids[i]] = _estimate(rot, translation[i], float(cost[i]), n, iteration,
@@ -396,17 +389,19 @@ def refine_lm(
     camera: PinholeCamera,
     frames: Sequence[CorrespondenceSet],
     inits: Sequence[RigidTransform],
-    config: SolverConfig = SolverConfig(),
 ) -> list[PoseEstimate]:
     """Minimize each frame's reprojection cost from its initial pose by
     Levenberg-Marquardt; one estimate per frame, in input order.
 
     Accepted costs are non-increasing; convergence is declared when the
-    relative cost decrease drops below ``cost_tolerance`` or the step norm
-    below ``step_tolerance``. Hitting ``max_iterations`` returns the best
-    pose so far with ``converged=False`` rather than raising. Frames of
-    equal corner count are solved together in chunks of up to
-    ``CHUNK_FRAMES``; a chunk of one frame runs the per-frame loop.
+    relative cost decrease drops below ``_COST_TOLERANCE`` (1e-10) or the
+    step norm below ``_STEP_TOLERANCE`` (1e-12). Damping starts at
+    ``_INITIAL_DAMPING`` (1e-3) and is scaled by ``_DAMPING_UP`` (10) on a
+    rejected step and ``_DAMPING_DOWN`` (1/3) on an accepted one. Hitting
+    ``_MAX_ITERATIONS`` (50) returns the best pose so far with
+    ``converged=False`` rather than raising. Frames of equal corner count
+    are solved together in chunks of up to ``CHUNK_FRAMES``; a chunk of one
+    frame runs the per-frame loop.
 
     Raises:
         NonPositiveDepth: an initial pose places points behind the camera.
@@ -422,12 +417,11 @@ def refine_lm(
                     camera, np.stack([frames[i].ref for i in idx]),
                     np.stack([frames[i].img for i in idx]),
                     np.stack([inits[i].rotation for i in idx]),
-                    np.stack([inits[i].translation for i in idx]), config)
+                    np.stack([inits[i].translation for i in idx]))
             except np.linalg.LinAlgError:
                 pass  # a singular damped system: the per-frame loop raises the damping instead
         if found is None:
-            found = [_refine_frame(camera, frames[i].ref, frames[i].img, inits[i], config)
-                     for i in idx]
+            found = [_refine_frame(camera, frames[i].ref, frames[i].img, inits[i]) for i in idx]
         for i, estimate in zip(idx, found):
             out[i] = estimate
     return out
@@ -515,13 +509,20 @@ def epnp_initialize(
     frame included.
 
     Raises:
-        DegenerateConfiguration: fewer than 4 points, or collinear points.
+        DegenerateConfiguration: fewer than 4 points, collinear points, or
+        coordinates so extreme that a decomposition does not converge.
         BehindCamera: no sign choice places the points at positive depth.
     """
     out: list[RigidTransform | None] = [None] * len(frames)
     for idx in _chunks(frames):
-        poses = _epnp_chunk(camera, np.stack([frames[i].ref for i in idx]),
-                            np.stack([frames[i].img for i in idx]))
+        try:
+            # Extreme but finite coordinates overflow on the way to the
+            # decompositions; the failure is reported once, as the error.
+            with np.errstate(over="ignore", invalid="ignore"):
+                poses = _epnp_chunk(camera, np.stack([frames[i].ref for i in idx]),
+                                    np.stack([frames[i].img for i in idx]))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateConfiguration(f"EPnP failed: {exc}") from None
         for i, pose in zip(idx, poses):
             out[i] = pose
     return out
@@ -540,7 +541,6 @@ def _check_visible(corrs: CorrespondenceSet, allow_single_tag: bool) -> None:
 def estimate_pose(
     camera: PinholeCamera,
     corrs: CorrespondenceSet,
-    config: SolverConfig = SolverConfig(),
     allow_single_tag: bool = False,
 ) -> PoseEstimate:
     """Full pipeline on one frame: EPnP initialization then LM refinement.
@@ -551,14 +551,13 @@ def estimate_pose(
     """
     _check_visible(corrs, allow_single_tag)
     [init] = epnp_initialize(camera, [corrs])
-    [estimate] = refine_lm(camera, [corrs], [init], config)
+    [estimate] = refine_lm(camera, [corrs], [init])
     return estimate
 
 
 def estimate_poses(
     camera: PinholeCamera,
     frames: Sequence[CorrespondenceSet],
-    config: SolverConfig = SolverConfig(),
     allow_single_tag: bool = False,
 ) -> list[PoseEstimate]:
     """``estimate_pose`` of every frame, in input order, solved in chunks.
@@ -569,8 +568,8 @@ def estimate_poses(
     try:
         for corrs in frames:
             _check_visible(corrs, allow_single_tag)
-        return refine_lm(camera, frames, epnp_initialize(camera, frames), config)
+        return refine_lm(camera, frames, epnp_initialize(camera, frames))
     except RingSenseError:
         # Chunks do not run in input order, and the tag gate runs ahead of
         # every solve: frame by frame, the first bad frame raises.
-        return [estimate_pose(camera, corrs, config, allow_single_tag) for corrs in frames]
+        return [estimate_pose(camera, corrs, allow_single_tag) for corrs in frames]

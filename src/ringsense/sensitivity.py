@@ -43,8 +43,8 @@ class DetectionParams:
     theta_ref: float = math.pi / 12
 
     def __post_init__(self) -> None:
-        if min(self.d_r, self.w_tag, self.w_img, self.r) <= 0:
-            raise ValidationFailure("detection parameters must be strictly positive")
+        if not all(0 < v < math.inf for v in (self.d_r, self.w_tag, self.w_img, self.r)):
+            raise ValidationFailure("detection parameters must be finite and strictly positive")
         if not 0 < self.theta_ref < math.pi:
             raise ValidationFailure("theta_ref must lie in (0, pi)")
 

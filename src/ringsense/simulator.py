@@ -176,9 +176,9 @@ def deform(model: ComplianceModel, wrench: Wrench) -> DeformationVector:
     return DeformationVector.from_array(delta)
 
 
-def default_reference_pose(standoff_mm: float = 10.0) -> RigidTransform:
-    """No-contact plate pose: axis-aligned, ``standoff_mm`` in front of the camera."""
-    return RigidTransform(np.eye(3), np.array([0.0, 0.0, standoff_mm]))
+def default_reference_pose() -> RigidTransform:
+    """No-contact plate pose: axis-aligned, 10 mm in front of the camera."""
+    return RigidTransform(np.eye(3), np.array([0.0, 0.0, 10.0]))
 
 
 def project_layout(

@@ -235,6 +235,23 @@ def test_first_bad_frame_sets_the_exit_code(tmp_path, capsys, frame_row, degener
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, scale", [("img_px", (1e300, 1e300)),
+                                          ("ref_mm", (1e200, 1e200, 1.0))],
+                         ids=["img_1e300", "ref_xy_1e200"])
+def test_extreme_finite_coordinates_are_numerical_failure(tmp_path, capsys, frame_row, field,
+                                                          scale):
+    # Finite values this large make EPnP's decompositions fail to converge.
+    row = {**frame_row, "entries": [
+        {**e, field: [v * s for v, s in zip(e[field], scale)]} for e in frame_row["entries"]]}
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text(json.dumps(row) + "\n")
+    rc = main(["estimate", "--frames", str(frames),
+               "--out", str(tmp_path / "poses.jsonl"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--samples-per-axis", "-1"],
     ["pipeline", "--samples-per-axis", "-1"],
@@ -248,12 +265,14 @@ def test_first_bad_frame_sets_the_exit_code(tmp_path, capsys, frame_row, degener
      "--poses", "{poses}"],
     ["monitor", "--threshold", "0.5", "--frames", "12", "--target-joints", "inf",
      "--poses", "{poses}"],
+    ["calibrate", "--data", "{data}", "--seed", "-1"],
 ], ids=["simulate_negative_count", "pipeline_negative_count", "simulate_nan_sigma",
         "pipeline_nan_sigma", "monitor_nan_threshold", "layout_nan_tag_size",
         "layout_nan_ring_radius", "layout_inf_ring_radius", "monitor_nan_start_joints",
-        "monitor_inf_target_joints"])
+        "monitor_inf_target_joints", "calibrate_negative_seed"])
 def test_out_of_range_options_are_validation_errors(tmp_path, capsys, pipeline_dir, argv):
-    argv = [a.format(poses=pipeline_dir / "poses.jsonl") for a in argv]
+    argv = [a.format(poses=pipeline_dir / "poses.jsonl", data=pipeline_dir / "sweep_estimated.csv")
+            for a in argv]
     rc = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
     err = capsys.readouterr().err
     assert rc == 1
@@ -275,7 +294,7 @@ _CONFIG_FILES = {
 
 @pytest.mark.parametrize("kind, corruption", [
     (kind, corruption) for kind in _CONFIG_FILES
-    for corruption in ("truncated", "missing_key", "non_numeric", "non_object")
+    for corruption in ("truncated", "missing_key", "non_numeric", "non_object", "nan", "inf")
     if (kind, corruption) != ("params", "missing_key")  # every params key is optional
 ])
 def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline_dir, kind,
@@ -287,6 +306,8 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
         payload.pop(key)
     elif corruption == "non_numeric":
         payload[key] = "abc"
+    elif corruption in ("nan", "inf"):
+        payload[key] = float(corruption)
     text = json.dumps([1] if corruption == "non_object" else payload)
     config = tmp_path / "config.json"
     config.write_text(text[:len(text) // 2] if corruption == "truncated" else text)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ringsense.contact import (
+    CONTROL_INTERVAL_S,
     OBJECT_PRESETS,
     ApproachTrajectory,
     ContactConfig,
@@ -75,7 +76,7 @@ def test_config_for_object():
     config = config_for_object("chip")
     assert config.threshold_mm == 0.10
     assert config.total_frames == 30
-    assert config.control_interval_s == 0.02
+    assert CONTROL_INTERVAL_S == 0.02
     assert config_for_object("Paper cup").threshold_mm == 0.005
     with pytest.raises(ValidationFailure):
         config_for_object("anvil")

@@ -17,7 +17,6 @@ from ringsense.geometry import RigidTransform, rotation_from_euler_xyz
 from ringsense.layout import visible_subset
 from ringsense.pnp import (
     CorrespondenceSet,
-    SolverConfig,
     epnp_initialize,
     estimate_pose,
     estimate_poses,
@@ -205,16 +204,19 @@ def test_accepted_cost_trace_is_monotone(camera, layout):
         assert np.all(np.diff(trace) <= 0)
 
 
-def test_refine_reports_non_convergence_instead_of_raising(camera, layout, reference_pose):
+def test_refine_reports_non_convergence_instead_of_raising(camera, layout, reference_pose,
+                                                           monkeypatch):
     corrs = project_layout(camera, layout, reference_pose)
     rng = np.random.default_rng(6)
     corrs = jitter(corrs, 0.25, rng)
-    config = SolverConfig(max_iterations=1, cost_tolerance=1e-300, step_tolerance=1e-300)
+    monkeypatch.setattr(pnp, "_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(pnp, "_COST_TOLERANCE", 1e-300)
+    monkeypatch.setattr(pnp, "_STEP_TOLERANCE", 1e-300)
     far = RigidTransform(
         reference_pose.rotation @ rotation_from_euler_xyz(0.1, 0.1, 0.1),
         reference_pose.translation + np.array([0.8, -0.8, 0.8]),
     )
-    [est] = refine_lm(camera, [corrs], [far], config)
+    [est] = refine_lm(camera, [corrs], [far])
     assert not est.converged
     assert est.iterations_used == 1
     assert est.cost_trace[-1] <= est.cost_trace[0]
@@ -433,10 +435,3 @@ def test_correspondence_set_rejects_duplicates():
     with pytest.raises(ValidationFailure):
         CorrespondenceSet(tag_ids=[0, 0], corner_idx=[0, 0], ref=np.zeros((2, 3)),
                           img=np.ones((2, 2)))
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValidationFailure):
-        SolverConfig(damping_up=0.5)
-    with pytest.raises(ValidationFailure):
-        SolverConfig(cost_tolerance=0.0)
