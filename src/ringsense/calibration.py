@@ -49,6 +49,8 @@ class AxisModel:
             raise ValidationFailure(f"degree must be 1 or 3, got {self.degree}")
         if len(self.coefficients) != self.degree + 1:
             raise ValidationFailure("coefficient count must be degree + 1")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValidationFailure(f"coefficients must be finite, got {list(self.coefficients)}")
         if not (0 <= self.axis <= 5 and 0 <= self.input_component <= 5):
             raise ValidationFailure("axis and input_component must be 0..5")
         if self.rmse_train < 0 or (self.rmse_test is not None and self.rmse_test < 0):

@@ -133,7 +133,13 @@ def step(
     """
     if state.phase != PHASE_APPROACH:
         return state, None
-    delta_z = abs(delta_from_poses(reference, pose.pose).dl_z)
+    return _advance(state, abs(delta_from_poses(reference, pose.pose).dl_z), config)
+
+
+def _advance(
+    state: MonitorState, delta_z: float, config: ContactConfig
+) -> tuple[MonitorState, ContactEvent | None]:
+    """``step`` of an approaching monitor, given the frame's |delta z| (mm)."""
     above = delta_z >= config.threshold_mm
     consecutive = state.consecutive_above + 1 if above else 0
     if consecutive >= config.debounce_frames:
@@ -241,8 +247,10 @@ def run_episode(
             skipped.append(frame)
             state = skip_frame(state)
         else:
-            state, event = step(state, pose, reference, config)
-            series.append(abs(delta_from_poses(reference, pose.pose).dl_z))
+            # The monitor is still approaching: the loop ends on the stop.
+            delta_z = abs(delta_from_poses(reference, pose.pose).dl_z)
+            series.append(delta_z)
+            state, event = _advance(state, delta_z, config)
         if event is not None:
             break
         joints = interpolate(traj, frame + 1)

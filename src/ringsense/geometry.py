@@ -96,6 +96,25 @@ class RigidTransform:
         return cls(np.array(data["rotation"]), np.array(data["translation"]))
 
 
+def _proper_transform(rotation: np.ndarray, translation: np.ndarray) -> RigidTransform:
+    """A RigidTransform whose rotation is proper by construction (an SVD
+    polar factor or a Procrustes solution with its determinant fixed).
+
+    Takes float64 arrays of shapes (3, 3) and (3,). Keeps the finiteness
+    check and stores read-only copies, so the pose never aliases the
+    caller's arrays; skips the orthonormality and determinant checks, which
+    such a rotation passes to rounding.
+    """
+    pose = object.__new__(RigidTransform)
+    for name, values in (("rotation", rotation), ("translation", translation)):
+        if not np.isfinite(values).all():
+            raise ValidationFailure(f"{name} must be finite")
+        a = values.copy()
+        a.setflags(write=False)
+        object.__setattr__(pose, name, a)
+    return pose
+
+
 @dataclass(frozen=True)
 class PinholeCamera:
     """Intrinsics of an ideal pinhole camera (pixels)."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -224,3 +226,7 @@ def test_axis_model_validation():
     with pytest.raises(ValidationFailure):
         AxisModel(axis=0, input_component=0, coefficients=(0.0, 1.0), degree=1,
                   r2_train=1.0, rmse_train=0.0, r2_test=1.5, rmse_test=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationFailure, match="coefficients must be finite"):
+            AxisModel(axis=0, input_component=0, coefficients=(0.0, bad), degree=1,
+                      r2_train=1.0, rmse_train=0.0)

@@ -296,7 +296,7 @@ _CONFIG_FILES = {
     (kind, corruption) for kind in _CONFIG_FILES
     for corruption in ("truncated", "missing_key", "non_numeric", "non_object", "nan", "inf")
     if (kind, corruption) != ("params", "missing_key")  # every params key is optional
-])
+] + [("calib", "nan_coefficient"), ("calib", "inf_coefficient")])
 def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline_dir, kind,
                                                       corruption):
     argv, payload, key = _CONFIG_FILES[kind]
@@ -308,6 +308,8 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
         payload[key] = "abc"
     elif corruption in ("nan", "inf"):
         payload[key] = float(corruption)
+    elif corruption.endswith("_coefficient"):
+        payload["models"][3]["coefficients"][1] = float(corruption[:3])
     text = json.dumps([1] if corruption == "non_object" else payload)
     config = tmp_path / "config.json"
     config.write_text(text[:len(text) // 2] if corruption == "truncated" else text)
@@ -458,7 +460,10 @@ def _without_pose(row):
     _without_pose,
     lambda row: {**row, "iterations_used": "x"},
     lambda row: {**row, "converged": "maybe"},
-], ids=["missing_pose", "non_integer_iterations", "non_boolean_converged"])
+    lambda row: {**row, "rms_reprojection_error": float("nan")},
+    lambda row: {**row, "iterations_used": -1},
+], ids=["missing_pose", "non_integer_iterations", "non_boolean_converged", "nan_rms",
+        "negative_iterations"])
 def test_malformed_poses_are_validation_errors(tmp_path, capsys, pipeline_dir, corrupt):
     rows = read_jsonl(pipeline_dir / "poses.jsonl")
     rows[2] = corrupt(rows[2])

@@ -225,6 +225,9 @@ def test_refine_reports_non_convergence_instead_of_raising(camera, layout, refer
 def test_rejected_step_reuses_the_jacobian(camera, layout, monkeypatch):
     # A rejected step leaves the pose unchanged, so the Jacobian is built
     # once at the initial pose and once after each accepted step at most.
+    # The gradient stop ends most of these solves before any step is
+    # rejected; without it they reach the rejecting regime.
+    monkeypatch.setattr(pnp, "_GRADIENT_TOLERANCE", 0.0)
     calls = []
 
     def counted(*args):
@@ -242,6 +245,64 @@ def test_rejected_step_reuses_the_jacobian(camera, layout, monkeypatch):
         rejected += est.iterations_used - (len(est.cost_trace) - 1)
         assert len(calls) <= len(est.cost_trace)
     assert rejected > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 1.0),
+       occlusion=st.floats(0.0, 0.5))
+def test_gradient_stop_matches_the_solve_without_it(camera, layout, seed, sigma, occlusion):
+    # Stopping at ||J^T r||_inf <= _GRADIENT_TOLERANCE leaves the estimate
+    # within the Gauss-Newton step still ahead of it, ||(J^T J)^-1 J^T r||
+    # <= sqrt(6) * tolerance / lambda_min(J^T J), of where the loop without
+    # it (tolerance -1: never met) ends; at the per-frame (B = 1) and the
+    # batched loop. That is 6e-8 mm or rad for 140 corners, and at most
+    # 1e-8 on most frames.
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(4):
+        hidden = np.flatnonzero(rng.random(len(layout)) < occlusion)[:-2]
+        corrs = project_layout(camera, visible_subset(layout, set(hidden.tolist())),
+                               random_pose(rng))
+        frames.append(jitter(corrs, sigma, rng))
+    frames.append(frames[0])  # a chunk of two whatever the occlusion
+    stopped = [estimate_pose(camera, corrs) for corrs in frames] + estimate_poses(camera, frames)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pnp, "_GRADIENT_TOLERANCE", -1.0)
+        full = [estimate_pose(camera, corrs) for corrs in frames] + estimate_poses(camera, frames)
+    for corrs, est, ref in zip(frames + frames, stopped, full):
+        assert est.converged and ref.converged
+        assert est.iterations_used <= ref.iterations_used
+        jac = pnp._jacobian_block(camera, est.pose.rotation, est.pose.translation, corrs.ref)
+        bound = math.sqrt(6) * pnp._GRADIENT_TOLERANCE / np.linalg.eigvalsh(jac.T @ jac)[0]
+        assert np.max(np.abs(est.pose.translation - ref.pose.translation)) <= bound
+        assert rotation_angle(est.pose.rotation.T @ ref.pose.rotation) <= bound
+        assert np.all(np.diff(est.cost_trace) <= 0)
+
+
+def test_chunk_row_leaving_on_the_gradient_counts_as_per_frame(camera, layout, reference_pose,
+                                                               monkeypatch):
+    # With the cost and step tests switched off only the gradient test can
+    # converge: a row of the batched loop that leaves on it reports the
+    # iterations of the per-frame loop, and a frame whose initial pose
+    # already passes it reports 0, since the test is not an iteration.
+    monkeypatch.setattr(pnp, "_COST_TOLERANCE", 0.0)
+    monkeypatch.setattr(pnp, "_STEP_TOLERANCE", 0.0)
+    rng = np.random.default_rng(14)
+    exact = project_layout(camera, layout, reference_pose)
+    frames = [jitter(project_layout(camera, layout, random_pose(rng)), 0.25, rng)
+              for _ in range(3)] + [exact]
+    inits = epnp_initialize(camera, frames[:3]) + [reference_pose]
+    batched = pnp._refine_chunk(camera, np.stack([c.ref for c in frames]),
+                                np.stack([c.img for c in frames]),
+                                np.stack([p.rotation for p in inits]),
+                                np.stack([p.translation for p in inits]))
+    for corrs, init, est in zip(frames, inits, batched):
+        ref = pnp._refine_frame(camera, corrs.ref, corrs.img, init)
+        assert est.converged and ref.converged
+        assert est.iterations_used == ref.iterations_used
+        assert len(est.cost_trace) == len(ref.cost_trace)
+    assert batched[-1].iterations_used == 0
+    assert min(est.iterations_used for est in batched[:3]) > 0
 
 
 def test_singular_batch_falls_back_to_frame_by_frame(camera, layout, monkeypatch):
