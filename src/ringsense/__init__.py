@@ -20,11 +20,9 @@ from .contact import (
     ContactConfig,
     ContactEvent,
     EpisodeResult,
-    MonitorState,
     config_for_object,
     interpolate,
     run_episode,
-    step,
 )
 from .geometry import (
     EULER_CONVENTION,
@@ -85,7 +83,6 @@ __all__ = [
     "DetectionParams",
     "EULER_CONVENTION",
     "EpisodeResult",
-    "MonitorState",
     "NoiseModel",
     "NormalMatrix6",
     "OBJECT_PRESETS",
@@ -124,7 +121,6 @@ __all__ = [
     "propagate_wrench_floor",
     "refine_lm",
     "run_episode",
-    "step",
     "sweep_dataset",
     "synthesize_frame",
     "visible_subset",

@@ -174,13 +174,23 @@ def _frame_lines(numbered_frames):
         yield template % (*corrs.img.ravel().tolist(), i, i * CONTROL_INTERVAL_S)
 
 
+def _int_fields(entries, key: str) -> list[int]:
+    """The ``key`` field of each entry, which must be a JSON integer: numpy
+    would truncate 1.5 and turn "1" or true into 1."""
+    values = [e[key] for e in entries]
+    for value in values:
+        if type(value) is not int:  # bool is a subclass of int
+            raise ValidationFailure(f"{key} must be an integer, got {value!r}")
+    return values
+
+
 def _corrs_from_row(row: dict) -> CorrespondenceSet:
     entries = row["entries"]
     n = len(entries)
     # reshape gives an empty frame its (0, 3) / (0, 2) shape.
     return CorrespondenceSet(
-        tag_ids=np.array([e["tag_id"] for e in entries], dtype=np.int64),
-        corner_idx=np.array([e["corner"] for e in entries], dtype=np.int64),
+        tag_ids=np.array(_int_fields(entries, "tag_id"), dtype=np.int64),
+        corner_idx=np.array(_int_fields(entries, "corner"), dtype=np.int64),
         ref=np.array([e["ref_mm"] for e in entries], dtype=np.float64).reshape(n, 3),
         img=np.array([e["img_px"] for e in entries], dtype=np.float64).reshape(n, 2),
     )
@@ -386,19 +396,16 @@ def _joints(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _cmd_monitor(args) -> int:
-    if args.object is not None:
-        config = config_for_object(args.object, debounce_frames=args.debounce)
-        if args.threshold is not None or args.frames_count is not None:
-            config = ContactConfig(
-                threshold_mm=args.threshold if args.threshold is not None else config.threshold_mm,
-                total_frames=args.frames_count if args.frames_count is not None else config.total_frames,
-                debounce_frames=args.debounce,
-            )
-    else:
-        if args.threshold is None or args.frames_count is None:
-            raise ValidationFailure("provide --object or both --threshold and --frames")
-        config = ContactConfig(threshold_mm=args.threshold, total_frames=args.frames_count,
-                               debounce_frames=args.debounce)
+    # The preset is validated first, then fills whichever of --threshold and --frames is unset.
+    preset = (None if args.object is None
+              else config_for_object(args.object, debounce_frames=args.debounce))
+    if preset is None and (args.threshold is None or args.frames_count is None):
+        raise ValidationFailure("provide --object or both --threshold and --frames")
+    config = ContactConfig(
+        threshold_mm=preset.threshold_mm if args.threshold is None else args.threshold,
+        total_frames=preset.total_frames if args.frames_count is None else args.frames_count,
+        debounce_frames=args.debounce,
+    )
 
     poses = _load_jsonl(Path(args.poses), PoseEstimate.from_dict, "pose")
     traj = ApproachTrajectory(start_joints=_joints(args.start_joints, "--start-joints"),
@@ -491,15 +498,22 @@ def _cmd_pipeline(args) -> int:
 
 # ------------------------------------------------------------------ main
 
-def _add_common(parser, out_required: bool = True, out_default=None) -> None:
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValidationFailure (exit 1),
+    not SystemExit(2); its subparsers are built from this class too."""
+
+    def error(self, message: str):
+        raise ValidationFailure(message)
+
+
+def _add_common(parser, out_required: bool = True) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--out", required=out_required, default=out_default,
-                        help="output path")
+    parser.add_argument("--out", required=out_required, help="output path")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringsense",
         description="Fiducial-based tactile sensing math on synthetic data.",
     )
@@ -579,9 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

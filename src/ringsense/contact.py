@@ -1,24 +1,26 @@
 """Contact detection for delicate grasping.
 
-Monitors the fingertip normal deformation (|delta z| of the estimated
-plate pose relative to a no-contact reference) while a joint-space
-approach trajectory plays out by linear interpolation at a fixed 0.02 s
-control interval. Contact is declared when |delta z| stays at or above
-the threshold for ``debounce_frames`` consecutive frames; the approach
-stops on that frame and no further motion commands are issued.
+``run_episode`` is the contact monitor. It reads the fingertip normal
+deformation (|delta z| of the estimated plate pose relative to a
+no-contact reference) once per frame while a joint-space approach
+trajectory plays out by linear interpolation at a fixed 0.02 s control
+interval. Contact is declared when |delta z| stays at or above the
+threshold for ``debounce_frames`` consecutive frames; the approach stops
+on that frame and no further motion commands are issued.
 
 Debouncing defaults to 1 frame, matching a plain threshold rule. The
 smallest preset thresholds sit below the fiducial pose floor, so a
 single-frame rule is noise-fragile; raising ``debounce_frames`` trades
 detection latency for false-trigger suppression.
 
-The monitor is a single-owner state machine: one episode, one sequential
-consumer. Independent episodes can run concurrently on separate monitors.
+The debounce count is a local of ``run_episode``; there is no separate
+state machine. The pose stream is read lazily, one entry per frame, so a
+generator that reads the sensor on demand is the streaming interface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -114,58 +116,6 @@ class ContactEvent:
 
 
 @dataclass(frozen=True)
-class MonitorState:
-    frame_index: int = 0
-    consecutive_above: int = 0
-    phase: str = PHASE_APPROACH
-
-
-def step(
-    state: MonitorState,
-    pose: PoseEstimate,
-    reference: RigidTransform,
-    config: ContactConfig,
-) -> tuple[MonitorState, ContactEvent | None]:
-    """Advance the monitor by one sensed frame.
-
-    Returns the next state and a ContactEvent on the debounce-completing
-    frame. After a stop the state no longer advances.
-    """
-    if state.phase != PHASE_APPROACH:
-        return state, None
-    return _advance(state, abs(delta_from_poses(reference, pose.pose).dl_z), config)
-
-
-def _advance(
-    state: MonitorState, delta_z: float, config: ContactConfig
-) -> tuple[MonitorState, ContactEvent | None]:
-    """``step`` of an approaching monitor, given the frame's |delta z| (mm)."""
-    above = delta_z >= config.threshold_mm
-    consecutive = state.consecutive_above + 1 if above else 0
-    if consecutive >= config.debounce_frames:
-        next_state = MonitorState(
-            frame_index=state.frame_index + 1,
-            consecutive_above=consecutive,
-            phase=PHASE_STOPPED,
-        )
-        return next_state, ContactEvent(
-            frame_index=state.frame_index, delta_z_mm=delta_z, phase=PHASE_STOPPED
-        )
-    return replace(state, frame_index=state.frame_index + 1, consecutive_above=consecutive), None
-
-
-def skip_frame(state: MonitorState) -> MonitorState:
-    """Advance past a frame with no usable pose estimate.
-
-    The debounce counter is preserved: transient occlusion should not
-    erase accumulated contact evidence.
-    """
-    if state.phase != PHASE_APPROACH:
-        return state
-    return replace(state, frame_index=state.frame_index + 1)
-
-
-@dataclass(frozen=True)
 class EpisodeResult:
     """Outcome of one grasp approach.
 
@@ -231,7 +181,9 @@ def run_episode(
             raise ValidationFailure("no usable poses in the reference-capture window")
         reference = mean_reference_pose(captured)
 
-    state = MonitorState()
+    # Frames at or above the threshold. A skipped frame keeps the count:
+    # transient occlusion should not erase accumulated contact evidence.
+    consecutive = 0
     event: ContactEvent | None = None
     series: list[float] = []
     commands: list[tuple[int, tuple[float, ...]]] = []
@@ -245,14 +197,13 @@ def run_episode(
         if pose is None:
             series.append(float("nan"))
             skipped.append(frame)
-            state = skip_frame(state)
         else:
-            # The monitor is still approaching: the loop ends on the stop.
             delta_z = abs(delta_from_poses(reference, pose.pose).dl_z)
             series.append(delta_z)
-            state, event = _advance(state, delta_z, config)
-        if event is not None:
-            break
+            consecutive = consecutive + 1 if delta_z >= config.threshold_mm else 0
+            if consecutive >= config.debounce_frames:
+                event = ContactEvent(frame_index=frame, delta_z_mm=delta_z, phase=PHASE_STOPPED)
+                break
         joints = interpolate(traj, frame + 1)
         commands.append((frame, tuple(float(j) for j in joints)))
 

@@ -185,13 +185,17 @@ class PoseEstimate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PoseEstimate":
-        """Inverse of ``to_dict``; ``converged`` must be a boolean."""
+        """Inverse of ``to_dict``; ``converged`` must be a boolean and
+        ``iterations_used`` an integer (not a float, string or boolean)."""
         if not isinstance(data["converged"], bool):
             raise ValidationFailure(f"converged must be true or false, got {data['converged']!r}")
+        if type(data["iterations_used"]) is not int:  # bool is a subclass of int
+            raise ValidationFailure(
+                f"iterations used must be an integer, got {data['iterations_used']!r}")
         return cls(
             pose=RigidTransform.from_dict(data["pose"]),
             rms_reprojection_error=float(data["rms_reprojection_error"]),
-            iterations_used=int(data["iterations_used"]),
+            iterations_used=data["iterations_used"],
             converged=data["converged"],
         )
 

@@ -26,6 +26,11 @@ from .geometry import DeformationVector
 from .simulator import Wrench
 
 
+# The key of each DetectionParams field in a params file and in to_dict.
+_FILE_KEYS = {"d_r": "d_r", "w_tag_mm": "w_tag", "w_img_px": "w_img", "r_px": "r",
+              "theta_ref_rad": "theta_ref"}
+
+
 @dataclass(frozen=True)
 class DetectionParams:
     """Inputs of the sensitivity formulas.
@@ -49,23 +54,17 @@ class DetectionParams:
             raise ValidationFailure("theta_ref must lie in (0, pi)")
 
     def to_dict(self) -> dict:
-        return {
-            "d_r": self.d_r,
-            "w_tag_mm": self.w_tag,
-            "w_img_px": self.w_img,
-            "r_px": self.r,
-            "theta_ref_rad": self.theta_ref,
-        }
+        return {key: getattr(self, name) for key, name in _FILE_KEYS.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectionParams":
-        return cls(
-            d_r=float(data.get("d_r", 0.25)),
-            w_tag=float(data.get("w_tag_mm", 2.0)),
-            w_img=float(data.get("w_img_px", 37.0)),
-            r=float(data.get("r_px", 18.5)),
-            theta_ref=float(data.get("theta_ref_rad", math.pi / 12)),
-        )
+        """Inverse of ``to_dict``; every key is optional (an absent one takes
+        the field's default) and an unknown key is an error."""
+        unknown = sorted(data.keys() - _FILE_KEYS.keys())
+        if unknown:
+            raise ValidationFailure(
+                f"unknown keys {unknown}; known: {', '.join(_FILE_KEYS)}")
+        return cls(**{name: float(data[key]) for key, name in _FILE_KEYS.items() if key in data})
 
 
 @dataclass(frozen=True)

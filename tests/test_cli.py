@@ -266,10 +266,14 @@ def test_extreme_finite_coordinates_are_numerical_failure(tmp_path, capsys, fram
     ["monitor", "--threshold", "0.5", "--frames", "12", "--target-joints", "inf",
      "--poses", "{poses}"],
     ["calibrate", "--data", "{data}", "--seed", "-1"],
+    ["pipeline", "--sigma", "abc"],
+    ["estimate"],
+    ["frobnicate"],
 ], ids=["simulate_negative_count", "pipeline_negative_count", "simulate_nan_sigma",
         "pipeline_nan_sigma", "monitor_nan_threshold", "layout_nan_tag_size",
         "layout_nan_ring_radius", "layout_inf_ring_radius", "monitor_nan_start_joints",
-        "monitor_inf_target_joints", "calibrate_negative_seed"])
+        "monitor_inf_target_joints", "calibrate_negative_seed", "pipeline_non_numeric_sigma",
+        "estimate_without_frames", "unknown_subcommand"])
 def test_out_of_range_options_are_validation_errors(tmp_path, capsys, pipeline_dir, argv):
     argv = [a.format(poses=pipeline_dir / "poses.jsonl", data=pipeline_dir / "sweep_estimated.csv")
             for a in argv]
@@ -278,6 +282,14 @@ def test_out_of_range_options_are_validation_errors(tmp_path, capsys, pipeline_d
     assert rc == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--version"], ["estimate", "-h"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 _CONFIG_FILES = {
@@ -296,7 +308,7 @@ _CONFIG_FILES = {
     (kind, corruption) for kind in _CONFIG_FILES
     for corruption in ("truncated", "missing_key", "non_numeric", "non_object", "nan", "inf")
     if (kind, corruption) != ("params", "missing_key")  # every params key is optional
-] + [("calib", "nan_coefficient"), ("calib", "inf_coefficient")])
+] + [("calib", "nan_coefficient"), ("calib", "inf_coefficient"), ("params", "unknown_key")])
 def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline_dir, kind,
                                                       corruption):
     argv, payload, key = _CONFIG_FILES[kind]
@@ -310,6 +322,8 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
         payload[key] = float(corruption)
     elif corruption.endswith("_coefficient"):
         payload["models"][3]["coefficients"][1] = float(corruption[:3])
+    elif corruption == "unknown_key":
+        payload["w_tag"] = 3.0  # a typo for w_tag_mm
     text = json.dumps([1] if corruption == "non_object" else payload)
     config = tmp_path / "config.json"
     config.write_text(text[:len(text) // 2] if corruption == "truncated" else text)
@@ -318,6 +332,8 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
+    if corruption == "unknown_key":
+        assert "'w_tag'" in err
 
 
 def test_simulate_zero_samples_writes_empty_data(tmp_path):
@@ -377,11 +393,26 @@ def _two_value_ref(row):
     return json.dumps(row)
 
 
+def _retype(index, key, convert):
+    # numpy reads each converted value back as the original integer.
+    def corrupt(row):
+        entry = row["entries"][index]
+        entry[key] = convert(entry[key])
+        return json.dumps(row)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_ref,
     lambda row: json.dumps(row)[:200],
     _two_value_ref,
-], ids=["missing_ref_mm", "truncated_json", "two_value_ref_mm"])
+    _retype(3, "tag_id", lambda v: v + 0.5),
+    _retype(3, "corner", lambda v: v + 0.9),
+    _retype(3, "tag_id", str),
+    _retype(1, "corner", bool),
+    _retype(3, "corner", float),
+], ids=["missing_ref_mm", "truncated_json", "two_value_ref_mm", "fractional_tag_id",
+        "fractional_corner", "string_tag_id", "boolean_corner", "float_corner"])
 def test_malformed_frames_are_validation_errors(tmp_path, capsys, frame_row, corrupt):
     frames = tmp_path / "frames.jsonl"
     good = json.dumps(frame_row)
@@ -462,8 +493,12 @@ def _without_pose(row):
     lambda row: {**row, "converged": "maybe"},
     lambda row: {**row, "rms_reprojection_error": float("nan")},
     lambda row: {**row, "iterations_used": -1},
+    lambda row: {**row, "iterations_used": 2.7},
+    lambda row: {**row, "iterations_used": "2"},
+    lambda row: {**row, "iterations_used": True},
 ], ids=["missing_pose", "non_integer_iterations", "non_boolean_converged", "nan_rms",
-        "negative_iterations"])
+        "negative_iterations", "fractional_iterations", "string_iterations",
+        "boolean_iterations"])
 def test_malformed_poses_are_validation_errors(tmp_path, capsys, pipeline_dir, corrupt):
     rows = read_jsonl(pipeline_dir / "poses.jsonl")
     rows[2] = corrupt(rows[2])

@@ -3,19 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsense.contact import (
     CONTROL_INTERVAL_S,
     OBJECT_PRESETS,
     ApproachTrajectory,
     ContactConfig,
-    MonitorState,
     config_for_object,
     interpolate,
     mean_reference_pose,
     run_episode,
-    skip_frame,
-    step,
 )
 from ringsense.errors import FrameOutOfRange, StreamEnded, ValidationFailure
 from ringsense.geometry import (
@@ -40,9 +39,12 @@ def ramp_stream(slope: float, frames: int):
 
 
 def scan_oracle(values, threshold, debounce):
-    """First frame completing ``debounce`` consecutive values >= threshold."""
+    """First frame completing ``debounce`` consecutive values >= threshold;
+    a None (skipped frame) neither counts nor resets the count."""
     consecutive = 0
     for f, v in enumerate(values):
+        if v is None:
+            continue
         consecutive = consecutive + 1 if v >= threshold else 0
         if consecutive >= debounce:
             return f
@@ -186,6 +188,36 @@ def test_skipped_frames_preserve_debounce():
     assert math.isnan(result.delta_z_mm[2])
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    debounce=st.integers(1, 4),
+    values=st.lists(st.one_of(st.none(), st.floats(0.0, 0.1)), min_size=1, max_size=40),
+)
+def test_monitor_matches_scan_oracle_with_skipped_frames(debounce, values):
+    threshold = 0.05
+    config = ContactConfig(threshold_mm=threshold, total_frames=len(values),
+                           debounce_frames=debounce)
+    traj = ApproachTrajectory((0.0,), (1.0,), len(values))
+    stream = [None if v is None else pose_at(v) for v in values]
+    result = run_episode(traj, config, iter(stream), reference=REFERENCE)
+
+    expected = scan_oracle(values, threshold, debounce)
+    got = None if result.event is None else result.event.frame_index
+    assert got == expected
+    if expected is not None:
+        assert result.event.delta_z_mm == values[expected]
+        assert result.event.phase == "stopped"
+    # Frames read: up to and including the stop, or every frame without one.
+    read = values[:len(values) if expected is None else expected + 1]
+    assert len(result.delta_z_mm) == len(read)
+    assert [math.isnan(v) for v in result.delta_z_mm] == [v is None for v in read]
+    assert result.skipped_frames == tuple(f for f, v in enumerate(read) if v is None)
+    # One command per frame before the stop, none on or after it.
+    stop = len(values) if expected is None else expected
+    assert [f for f, _ in result.commands] == list(range(stop))
+    assert result.final_phase == ("approach" if expected is None else "lifted")
+
+
 def test_stream_ended():
     config = ContactConfig(threshold_mm=0.5, total_frames=10)
     traj = ApproachTrajectory((0.0,), (1.0,), 10)
@@ -210,17 +242,6 @@ def test_mean_reference_pose_averages_translation():
     mean = mean_reference_pose(
         [RigidTransform(np.eye(3), t) for t in poses])
     assert mean.translation[2] == pytest.approx(0.2, abs=1e-12)
-
-
-def test_step_state_machine_stops():
-    config = ContactConfig(threshold_mm=0.05, total_frames=10)
-    state = MonitorState()
-    state, event = step(state, pose_at(0.06), REFERENCE, config)
-    assert event is not None and state.phase == "stopped"
-    # Further steps are inert.
-    state2, event2 = step(state, pose_at(0.5), REFERENCE, config)
-    assert state2 == state and event2 is None
-    assert skip_frame(state2) == state2
 
 
 def test_trajectory_config_frame_mismatch_rejected():
