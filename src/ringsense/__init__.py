@@ -31,10 +31,8 @@ from .geometry import (
     PinholeCamera,
     RigidTransform,
     apply_delta,
-    compose,
     default_camera,
     delta_from_poses,
-    l1_object_loss,
     normal_matrix_from_unit_vector,
     project,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "analyze",
     "apply_delta",
     "calibrate",
-    "compose",
     "config_for_object",
     "corners_ref",
     "default_camera",
@@ -112,7 +109,6 @@ __all__ = [
     "fit_axis",
     "interpolate",
     "jacobian_reprojection",
-    "l1_object_loss",
     "min_rotation",
     "min_translation",
     "normal_matrix_from_unit_vector",

@@ -22,6 +22,8 @@ from .errors import (
     UncoveredAxis,
     ValidationFailure,
     ZeroVariance,
+    read_integer,
+    read_number,
 )
 
 _AXIS_NAMES = ("fx", "fy", "fz", "tx", "ty", "tz")
@@ -84,14 +86,15 @@ class AxisModel:
     @classmethod
     def from_dict(cls, data: dict) -> "AxisModel":
         return cls(
-            axis=int(data["axis"]),
-            input_component=int(data["input_component"]),
-            coefficients=tuple(float(c) for c in data["coefficients"]),
-            degree=int(data["degree"]),
-            r2_train=float(data["r2_train"]),
-            rmse_train=float(data["rmse_train"]),
-            r2_test=None if data["r2_test"] is None else float(data["r2_test"]),
-            rmse_test=None if data["rmse_test"] is None else float(data["rmse_test"]),
+            axis=read_integer(data["axis"], "axis"),
+            input_component=read_integer(data["input_component"], "input_component"),
+            coefficients=tuple(read_number(c, "coefficient") for c in data["coefficients"]),
+            degree=read_integer(data["degree"], "degree"),
+            r2_train=read_number(data["r2_train"], "r2_train"),
+            rmse_train=read_number(data["rmse_train"], "rmse_train"),
+            r2_test=None if data["r2_test"] is None else read_number(data["r2_test"], "r2_test"),
+            rmse_test=(None if data["rmse_test"] is None
+                       else read_number(data["rmse_test"], "rmse_test")),
         )
 
 
@@ -130,9 +133,9 @@ class CalibrationReport:
     def from_dict(cls, data: dict) -> "CalibrationReport":
         return cls(
             models=tuple(AxisModel.from_dict(m) for m in data["models"]),
-            split_fraction=float(data["split_fraction"]),
-            split_seed=int(data["split_seed"]),
-            sample_count=int(data["sample_count"]),
+            split_fraction=read_number(data["split_fraction"], "split_fraction"),
+            split_seed=read_integer(data["split_seed"], "split_seed"),
+            sample_count=read_integer(data["sample_count"], "sample_count"),
         )
 
 

@@ -37,7 +37,13 @@ from .contact import (
     config_for_object,
     run_episode,
 )
-from .errors import EulerOutOfRange, NumericalFailure, RingSenseError, ValidationFailure
+from .errors import (
+    EulerOutOfRange,
+    NumericalFailure,
+    RingSenseError,
+    ValidationFailure,
+    read_integer,
+)
 from .geometry import (
     EULER_CONVENTION,
     PinholeCamera,
@@ -174,23 +180,15 @@ def _frame_lines(numbered_frames):
         yield template % (*corrs.img.ravel().tolist(), i, i * CONTROL_INTERVAL_S)
 
 
-def _int_fields(entries, key: str) -> list[int]:
-    """The ``key`` field of each entry, which must be a JSON integer: numpy
-    would truncate 1.5 and turn "1" or true into 1."""
-    values = [e[key] for e in entries]
-    for value in values:
-        if type(value) is not int:  # bool is a subclass of int
-            raise ValidationFailure(f"{key} must be an integer, got {value!r}")
-    return values
-
-
 def _corrs_from_row(row: dict) -> CorrespondenceSet:
     entries = row["entries"]
     n = len(entries)
     # reshape gives an empty frame its (0, 3) / (0, 2) shape.
     return CorrespondenceSet(
-        tag_ids=np.array(_int_fields(entries, "tag_id"), dtype=np.int64),
-        corner_idx=np.array(_int_fields(entries, "corner"), dtype=np.int64),
+        tag_ids=np.array([read_integer(e["tag_id"], "tag_id") for e in entries],
+                         dtype=np.int64),
+        corner_idx=np.array([read_integer(e["corner"], "corner") for e in entries],
+                            dtype=np.int64),
         ref=np.array([e["ref_mm"] for e in entries], dtype=np.float64).reshape(n, 3),
         img=np.array([e["img_px"] for e in entries], dtype=np.float64).reshape(n, 2),
     )
@@ -321,8 +319,8 @@ def _solver_summary(estimates: list[PoseEstimate]) -> str:
 
 def _cmd_estimate(args) -> int:
     camera = _load_camera(args.camera)
-    frames = _load_jsonl(Path(args.frames), lambda row: (row["frame"], _corrs_from_row(row)),
-                         "frame")
+    frames = _load_jsonl(Path(args.frames), lambda row: (
+        read_integer(row["frame"], "frame"), _corrs_from_row(row)), "frame")
     estimates = estimate_poses(camera, [corrs for _, corrs in frames],
                                allow_single_tag=args.allow_single_tag)
     _dump_jsonl(Path(args.out), ({"frame": frame, **estimate.to_dict()}

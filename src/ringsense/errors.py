@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all ringsense modules.
+"""Exception hierarchy shared by all ringsense modules, and the two checked
+readers every ``from_dict`` uses for the numbers of an input file.
 
 Two families matter for the CLI exit-code contract: ``ValidationFailure``
 (bad or out-of-range input, exit code 1) and ``NumericalFailure``
@@ -19,6 +20,22 @@ class ValidationFailure(RingSenseError):
 
 class NumericalFailure(RingSenseError):
     """A numerical procedure cannot produce a valid result."""
+
+
+def read_number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number; a boolean, a string or
+    any other value raises ValidationFailure naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationFailure(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def read_integer(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a boolean, a float such as 1.9 or
+    2.0, a string or any other value raises ValidationFailure naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationFailure(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 # geometry

@@ -21,7 +21,7 @@ All types are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import (
     NonPositiveDepth,
     NotUnitVector,
     ValidationFailure,
+    read_number,
 )
 
 EULER_CONVENTION = "XYZ-intrinsic"
@@ -66,24 +67,10 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map plate-frame point(s), shape (3,) or (n, 3), into the camera frame."""
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
     def to_dict(self) -> dict:
         return {
@@ -93,7 +80,8 @@ class RigidTransform:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RigidTransform":
-        return cls(np.array(data["rotation"]), np.array(data["translation"]))
+        return cls([[read_number(v, "rotation entry") for v in row] for row in data["rotation"]],
+                   [read_number(v, "translation entry") for v in data["translation"]])
 
 
 def _proper_transform(rotation: np.ndarray, translation: np.ndarray) -> RigidTransform:
@@ -151,14 +139,7 @@ class PinholeCamera:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PinholeCamera":
-        return cls(
-            fx=float(data["fx"]),
-            fy=float(data["fy"]),
-            cx=float(data["cx"]),
-            cy=float(data["cy"]),
-            image_width=float(data["image_width"]),
-            image_height=float(data["image_height"]),
-        )
+        return cls(**{f.name: read_number(data[f.name], f.name) for f in fields(cls)})
 
 
 def default_camera() -> PinholeCamera:
@@ -277,11 +258,6 @@ def project_points(camera: PinholeCamera, points_cam: np.ndarray) -> np.ndarray:
     return _pinhole(camera, p)
 
 
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Composition a after b: (R_a R_b, R_a t_b + t_a)."""
-    return RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
 def rotation_from_euler_xyz(rx: float, ry: float, rz: float) -> np.ndarray:
     """Rotation matrix Rx(rx) @ Ry(ry) @ Rz(rz) (intrinsic X-Y-Z)."""
     cx, sx = math.cos(rx), math.sin(rx)
@@ -347,18 +323,3 @@ def normal_matrix_from_unit_vector(n: np.ndarray) -> NormalMatrix6:
     x, y, z = float(v[0]) / norm, float(v[1]) / norm, float(v[2]) / norm
     return NormalMatrix6(x * x, x * y, x * z, y * y, y * z, z * z)
 
-
-def l1_object_loss(
-    pred_pos: np.ndarray,
-    true_pos: np.ndarray,
-    pred_m6: NormalMatrix6,
-    true_m6: NormalMatrix6,
-) -> float:
-    """L1 pose loss: position error plus normal-matrix entry error."""
-    p = np.asarray(pred_pos, dtype=np.float64)
-    q = np.asarray(true_pos, dtype=np.float64)
-    if p.shape != (3,) or q.shape != (3,):
-        raise ValidationFailure("positions must be 3-vectors")
-    return float(
-        np.sum(np.abs(p - q)) + np.sum(np.abs(pred_m6.as_array() - true_m6.as_array()))
-    )

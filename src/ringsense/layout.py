@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutOverlap, TooFewTagsVisible, UnknownTagId, ValidationFailure
+from .errors import (
+    LayoutOverlap,
+    TooFewTagsVisible,
+    UnknownTagId,
+    ValidationFailure,
+    read_integer,
+    read_number,
+)
 
 _RING_COUNT = 26  # tags on the ring around the 3x3 grid of default_layout
 # Local corner order: counter-clockwise from bottom-left, unit half-size.
@@ -108,13 +115,15 @@ class TagLayout:
     def from_dict(cls, data: dict) -> "TagLayout":
         tags = tuple(
             TagPlacement(
-                tag_id=int(t["id"]),
-                center=(float(t["center_mm"][0]), float(t["center_mm"][1])),
-                yaw=float(t["yaw_rad"]),
+                tag_id=read_integer(t["id"], "id"),
+                center=(read_number(t["center_mm"][0], "center_mm"),
+                        read_number(t["center_mm"][1], "center_mm")),
+                yaw=read_number(t["yaw_rad"], "yaw_rad"),
             )
             for t in data["tags"]
         )
-        return cls(tags=tags, tag_size=float(data["tag_size_mm"]), border=float(data["border_mm"]))
+        return cls(tags=tags, tag_size=read_number(data["tag_size_mm"], "tag_size_mm"),
+                   border=read_number(data["border_mm"], "border_mm"))
 
 
 def default_layout(

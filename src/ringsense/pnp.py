@@ -75,6 +75,8 @@ from .errors import (
     RingSenseError,
     TooFewTagsVisible,
     ValidationFailure,
+    read_integer,
+    read_number,
 )
 from .geometry import PinholeCamera, RigidTransform, _pinhole, _proper_transform
 
@@ -185,17 +187,14 @@ class PoseEstimate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PoseEstimate":
-        """Inverse of ``to_dict``; ``converged`` must be a boolean and
-        ``iterations_used`` an integer (not a float, string or boolean)."""
+        """Inverse of ``to_dict``; ``converged`` must be a boolean."""
         if not isinstance(data["converged"], bool):
             raise ValidationFailure(f"converged must be true or false, got {data['converged']!r}")
-        if type(data["iterations_used"]) is not int:  # bool is a subclass of int
-            raise ValidationFailure(
-                f"iterations used must be an integer, got {data['iterations_used']!r}")
         return cls(
             pose=RigidTransform.from_dict(data["pose"]),
-            rms_reprojection_error=float(data["rms_reprojection_error"]),
-            iterations_used=data["iterations_used"],
+            rms_reprojection_error=read_number(data["rms_reprojection_error"],
+                                               "rms_reprojection_error"),
+            iterations_used=read_integer(data["iterations_used"], "iterations_used"),
             converged=data["converged"],
         )
 
@@ -240,25 +239,30 @@ def _orthonormalize(r: np.ndarray) -> np.ndarray:
 
 
 def _residuals(camera, rotation, translation, ref, img):
-    """Residuals (projected - observed) of each frame, shape (..., 2n), and
-    whether each frame has no point at non-positive depth.
+    """Residuals (projected - observed) of each frame, shape (..., 2n), the
+    camera-frame points ``ref @ R^T + t``, shape (..., n, 3), and whether
+    each frame has no point at non-positive depth.
 
     Shapes: rotation (..., 3, 3), translation (..., 3), ref (..., n, 3),
-    img (..., n, 2).
+    img (..., n, 2). The LM loops accept only a frame whose flag is set and
+    keep its points, so every point set they pass to ``_jacobian_block``
+    has positive depth.
     """
     pts_cam = ref @ np.swapaxes(rotation, -1, -2) + translation[..., None, :]
     ahead = ~np.any(pts_cam[..., 2] <= 0, axis=-1)
     r = _pinhole(camera, pts_cam) - img
-    return r.reshape(r.shape[:-2] + (-1,)), ahead
+    return r.reshape(r.shape[:-2] + (-1,)), pts_cam, ahead
 
 
-def _jacobian_block(camera, rotation, translation, ref):
+def _jacobian_block(camera, pts_cam, translation):
     """Jacobian of each frame's residuals w.r.t. its local twist
-    [drho; dphi], shape (..., 2n, 6); shapes as in ``_residuals``."""
-    pts_cam = ref @ np.swapaxes(rotation, -1, -2) + translation[..., None, :]
+    [drho; dphi], shape (..., 2n, 6), built from the camera-frame points
+    ``pts_cam`` (..., n, 3) of the pose with translation (..., 3).
+
+    Precondition, not checked here: every depth ``pts_cam[..., 2]`` is
+    positive.
+    """
     x, y, z = pts_cam[..., 0], pts_cam[..., 1], pts_cam[..., 2]
-    if np.any(z <= 0):
-        raise NonPositiveDepth("transformed point has non-positive depth")
     # Chain rule d(uv)/d(p_cam) @ d(p_cam)/d(twist), written out entry by
     # entry. d(p_cam)/d(twist) is the identity for drho and -[R X]_x for
     # dphi (left increment applied to the rotation only, translation
@@ -288,9 +292,14 @@ def jacobian_reprojection(
     Column order is [translation x, y, z, rotation x, y, z]; the rotation
     increment is the left-composed exponential map used by the refiner.
     Matches central finite differences to first order.
+
+    Raises:
+        NonPositiveDepth: the point is at or behind the camera under ``pose``.
     """
-    ref = np.asarray(point_ref, dtype=np.float64).reshape(1, 3)
-    return _jacobian_block(camera, pose.rotation, pose.translation, ref)[:2]
+    pts_cam = pose.apply(np.asarray(point_ref, dtype=np.float64).reshape(1, 3))
+    if pts_cam[0, 2] <= 0:
+        raise NonPositiveDepth("transformed point has non-positive depth")
+    return _jacobian_block(camera, pts_cam, pose.translation)[:2]
 
 
 def _chunks(frames: Sequence[CorrespondenceSet]):
@@ -319,7 +328,7 @@ def _refine_frame(camera, ref, img, init: RigidTransform) -> PoseEstimate:
     rotation = init.rotation.copy()
     translation = init.translation.copy()
 
-    r, ahead = _residuals(camera, rotation, translation, ref, img)
+    r, pts, ahead = _residuals(camera, rotation, translation, ref, img)
     if not ahead:
         raise NonPositiveDepth("initial pose places points behind the camera")
     cost = float(r @ r)
@@ -331,7 +340,7 @@ def _refine_frame(camera, ref, img, init: RigidTransform) -> PoseEstimate:
 
     while iterations < _MAX_ITERATIONS:
         if h is None:
-            jac = _jacobian_block(camera, rotation, translation, ref)
+            jac = _jacobian_block(camera, pts, translation)
             h = jac.T @ jac
             g = jac.T @ r
             if float(np.abs(g).max()) <= _GRADIENT_TOLERANCE:
@@ -345,11 +354,11 @@ def _refine_frame(camera, ref, img, init: RigidTransform) -> PoseEstimate:
             continue
         cand_rot = _so3_exp(step[3:]) @ rotation
         cand_t = translation + step[:3]
-        cand_r, ahead = _residuals(camera, cand_rot, cand_t, ref, img)
+        cand_r, cand_pts, ahead = _residuals(camera, cand_rot, cand_t, ref, img)
         cand_cost = float(cand_r @ cand_r) if ahead else math.inf
         if cand_cost < cost:
             rel_decrease = (cost - cand_cost) / max(cost, 1e-300)
-            rotation, translation, r, cost = cand_rot, cand_t, cand_r, cand_cost
+            rotation, translation, r, pts, cost = cand_rot, cand_t, cand_r, cand_pts, cand_cost
             trace.append(cost)
             h = None
             lam *= _DAMPING_DOWN
@@ -378,7 +387,7 @@ def _refine_chunk(camera, ref, img, rotation, translation) -> list[PoseEstimate]
     next solve, as ``_refine_frame`` stops before it.
     """
     b, n = ref.shape[:2]
-    r, ahead = _residuals(camera, rotation, translation, ref, img)
+    r, pts, ahead = _residuals(camera, rotation, translation, ref, img)
     if not ahead.all():
         raise NonPositiveDepth("initial pose places points behind the camera")
     cost = (r * r).sum(axis=1)
@@ -394,7 +403,7 @@ def _refine_chunk(camera, ref, img, rotation, translation) -> list[PoseEstimate]
         last = iteration == _MAX_ITERATIONS
         rebuild = stale & ~done
         if not last and rebuild.any():
-            jac = _jacobian_block(camera, rotation[rebuild], translation[rebuild], ref[rebuild])
+            jac = _jacobian_block(camera, pts[rebuild], translation[rebuild])
             jac_t = jac.swapaxes(1, 2)
             h[rebuild] = jac_t @ jac
             g[rebuild] = (jac_t @ r[rebuild][..., None])[..., 0]
@@ -407,13 +416,13 @@ def _refine_chunk(camera, ref, img, rotation, translation) -> list[PoseEstimate]
             keep = ~leave
             if not keep.any():
                 break
-            ids, ref, img, rotation, translation, r, cost, lam, stale, done, h, g = (
-                a[keep] for a in (ids, ref, img, rotation, translation, r, cost, lam, stale, done,
-                                  h, g))
+            ids, ref, img, rotation, translation, r, pts, cost, lam, stale, done, h, g = (
+                a[keep] for a in (ids, ref, img, rotation, translation, r, pts, cost, lam, stale,
+                                  done, h, g))
         step = np.linalg.solve(h + lam[:, None, None] * _EYE6, -g[..., None])[..., 0]
         cand_rot = _so3_exp_many(step[:, 3:]) @ rotation
         cand_t = translation + step[:, :3]
-        cand_r, ahead = _residuals(camera, cand_rot, cand_t, ref, img)
+        cand_r, cand_pts, ahead = _residuals(camera, cand_rot, cand_t, ref, img)
         cand_cost = np.where(ahead, (cand_r * cand_r).sum(axis=1), np.inf)
         accept = cand_cost < cost
         rel_decrease = (cost - cand_cost) / np.maximum(cost, 1e-300)
@@ -423,6 +432,7 @@ def _refine_chunk(camera, ref, img, rotation, translation) -> list[PoseEstimate]
         rotation = np.where(accept[:, None, None], cand_rot, rotation)
         translation = np.where(accept[:, None], cand_t, translation)
         r = np.where(accept[:, None], cand_r, r)
+        pts = np.where(accept[:, None, None], cand_pts, pts)
         cost = np.where(accept, cand_cost, cost)
         lam = lam * np.where(accept, _DAMPING_DOWN, _DAMPING_UP)
         stale = accept

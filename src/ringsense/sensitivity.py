@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationReport
-from .errors import NonlinearModel, ValidationFailure
+from .errors import NonlinearModel, ValidationFailure, read_number
 from .geometry import DeformationVector
 from .simulator import Wrench
 
@@ -64,7 +64,8 @@ class DetectionParams:
         if unknown:
             raise ValidationFailure(
                 f"unknown keys {unknown}; known: {', '.join(_FILE_KEYS)}")
-        return cls(**{name: float(data[key]) for key, name in _FILE_KEYS.items() if key in data})
+        return cls(**{name: read_number(data[key], key) for key, name in _FILE_KEYS.items()
+                      if key in data})
 
 
 @dataclass(frozen=True)

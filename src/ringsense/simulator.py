@@ -1,11 +1,10 @@
 """Compliant-ring ground-truth oracle.
 
 Models the ring as a linear 6-D compliance: an applied wrench maps to a
-plate deformation through ``delta_L = C @ F`` (plus an optional cubic
-softening term, off by default). Frames are synthesized by deforming the
-reference pose, projecting all visible tag corners, and perturbing them
-with i.i.d. Gaussian pixel noise; whole tags drop out with a configurable
-occlusion probability.
+plate deformation through ``delta_L = C @ F``. Frames are synthesized by
+deforming the reference pose, projecting all visible tag corners, and
+perturbing them with i.i.d. Gaussian pixel noise; whole tags drop out with
+a configurable occlusion probability.
 
 Occlusion is a boolean mask over the layout's tags: only the unmasked
 tags are projected, and no reduced layout is built. Their plate-frame
@@ -92,14 +91,12 @@ class ComplianceModel:
     """Linear map from wrench to deformation, with per-component limits.
 
     ``compliance`` rows are deformation components (mm then rad), columns
-    wrench components (mN then mN*m). ``cubic_softening`` adds an
-    elementwise ``s * L**3`` term to the linear deformation ``L`` (default
-    off; when off the model is exactly linear and superposable).
+    wrench components (mN then mN*m). The map is exactly linear and
+    superposable.
     """
 
     compliance: np.ndarray
     deformation_limit: np.ndarray
-    cubic_softening: float = 0.0
 
     def __post_init__(self) -> None:
         c = np.asarray(self.compliance, dtype=np.float64)
@@ -112,8 +109,6 @@ class ComplianceModel:
             raise ValidationFailure("compliance must be symmetric within 1e-9")
         if np.min(np.linalg.eigvalsh((c + c.T) / 2.0)) <= 0:
             raise ValidationFailure("compliance must be positive definite")
-        if self.cubic_softening < 0:
-            raise ValidationFailure("cubic_softening must be non-negative")
         c = c.copy()
         lim = lim.copy()
         c.setflags(write=False)
@@ -122,7 +117,7 @@ class ComplianceModel:
         object.__setattr__(self, "deformation_limit", lim)
 
 
-def default_compliance(cubic_softening: float = 0.0) -> ComplianceModel:
+def default_compliance() -> ComplianceModel:
     """Diagonal compliance matched to the reference sensitivity vectors.
 
     Limits default to 1.0 mm per translation and 0.15 rad per rotation.
@@ -131,7 +126,6 @@ def default_compliance(cubic_softening: float = 0.0) -> ComplianceModel:
     return ComplianceModel(
         compliance=np.diag(diag),
         deformation_limit=np.array([1.0, 1.0, 1.0, 0.15, 0.15, 0.15]),
-        cubic_softening=cubic_softening,
     )
 
 
@@ -160,13 +154,12 @@ def derive_seed(seed: int, index: int | str) -> int:
 
 
 def deform(model: ComplianceModel, wrench: Wrench) -> DeformationVector:
-    """Deformation produced by ``wrench``; linear unless softening is set.
+    """Deformation produced by ``wrench``: ``C @ F``.
 
     Raises:
         DeformationLimitExceeded: if any component exceeds its limit.
     """
-    linear = model.compliance @ wrench.as_array()
-    delta = linear + model.cubic_softening * linear**3
+    delta = model.compliance @ wrench.as_array()
     if np.any(np.abs(delta) > model.deformation_limit):
         worst = int(np.argmax(np.abs(delta) - model.deformation_limit))
         raise DeformationLimitExceeded(

@@ -302,18 +302,33 @@ _CONFIG_FILES = {
                DetectionParams().to_dict(), "d_r"),
     "calib": (["sensitivity", "--calib", "{config}"], None, "split_fraction"),
 }
+# A value a lax reader takes: a boolean or a numeric string for a number, a
+# fractional number for an integer it truncates. (kind, corruption): (path, value).
+_RETYPED = {
+    ("camera", "boolean"): (["fy"], True),
+    ("camera", "numeric_string"): (["cx"], "128"),
+    ("layout", "boolean"): (["tag_size_mm"], True),
+    ("layout", "numeric_string"): (["border_mm"], "0.2"),
+    ("layout", "fractional_integer"): (["tags", 34, "id"], 34.9),
+    ("params", "boolean"): (["d_r"], True),
+    ("params", "numeric_string"): (["d_r"], "0.25"),
+    ("calib", "boolean"): (["models", 3, "coefficients", 1], True),
+    ("calib", "numeric_string"): (["split_fraction"], "0.8"),
+    ("calib", "fractional_integer"): (["models", 0, "degree"], 1.9),
+}
 
 
 @pytest.mark.parametrize("kind, corruption", [
     (kind, corruption) for kind in _CONFIG_FILES
     for corruption in ("truncated", "missing_key", "non_numeric", "non_object", "nan", "inf")
     if (kind, corruption) != ("params", "missing_key")  # every params key is optional
-] + [("calib", "nan_coefficient"), ("calib", "inf_coefficient"), ("params", "unknown_key")])
+] + [("calib", "nan_coefficient"), ("calib", "inf_coefficient"), ("params", "unknown_key")]
+  + list(_RETYPED))
 def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline_dir, kind,
                                                       corruption):
     argv, payload, key = _CONFIG_FILES[kind]
     calib = pipeline_dir / "calib.json"
-    payload = read_json(calib) if payload is None else dict(payload)
+    payload = read_json(calib) if payload is None else json.loads(json.dumps(payload))
     if corruption == "missing_key":
         payload.pop(key)
     elif corruption == "non_numeric":
@@ -324,6 +339,12 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
         payload["models"][3]["coefficients"][1] = float(corruption[:3])
     elif corruption == "unknown_key":
         payload["w_tag"] = 3.0  # a typo for w_tag_mm
+    elif (kind, corruption) in _RETYPED:
+        path, value = _RETYPED[kind, corruption]
+        target = payload
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
     text = json.dumps([1] if corruption == "non_object" else payload)
     config = tmp_path / "config.json"
     config.write_text(text[:len(text) // 2] if corruption == "truncated" else text)
@@ -411,8 +432,11 @@ def _retype(index, key, convert):
     _retype(3, "tag_id", str),
     _retype(1, "corner", bool),
     _retype(3, "corner", float),
+    lambda row: json.dumps({**row, "frame": "abc"}),
+    lambda row: json.dumps({**row, "frame": True}),
 ], ids=["missing_ref_mm", "truncated_json", "two_value_ref_mm", "fractional_tag_id",
-        "fractional_corner", "string_tag_id", "boolean_corner", "float_corner"])
+        "fractional_corner", "string_tag_id", "boolean_corner", "float_corner", "string_frame",
+        "boolean_frame"])
 def test_malformed_frames_are_validation_errors(tmp_path, capsys, frame_row, corrupt):
     frames = tmp_path / "frames.jsonl"
     good = json.dumps(frame_row)
@@ -487,6 +511,11 @@ def _without_pose(row):
     return row
 
 
+def _boolean_translation(row):
+    row["pose"]["translation"][0] = True
+    return row
+
+
 @pytest.mark.parametrize("corrupt", [
     _without_pose,
     lambda row: {**row, "iterations_used": "x"},
@@ -496,9 +525,11 @@ def _without_pose(row):
     lambda row: {**row, "iterations_used": 2.7},
     lambda row: {**row, "iterations_used": "2"},
     lambda row: {**row, "iterations_used": True},
+    lambda row: {**row, "rms_reprojection_error": str(row["rms_reprojection_error"])},
+    _boolean_translation,
 ], ids=["missing_pose", "non_integer_iterations", "non_boolean_converged", "nan_rms",
         "negative_iterations", "fractional_iterations", "string_iterations",
-        "boolean_iterations"])
+        "boolean_iterations", "string_rms", "boolean_translation"])
 def test_malformed_poses_are_validation_errors(tmp_path, capsys, pipeline_dir, corrupt):
     rows = read_jsonl(pipeline_dir / "poses.jsonl")
     rows[2] = corrupt(rows[2])

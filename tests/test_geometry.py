@@ -15,11 +15,9 @@ from ringsense.geometry import (
     PinholeCamera,
     RigidTransform,
     apply_delta,
-    compose,
     default_camera,
     delta_from_poses,
     euler_xyz_from_rotation,
-    l1_object_loss,
     normal_matrix_from_unit_vector,
     project,
     rotation_from_euler_xyz,
@@ -82,42 +80,6 @@ def test_camera_validation():
         PinholeCamera(fx=-1, fy=300, cx=128, cy=96, image_width=256, image_height=192)
     with pytest.raises(ValidationFailure):
         PinholeCamera(fx=300, fy=300, cx=300, cy=96, image_width=256, image_height=192)
-
-
-# ---------------------------------------------------------------- compose
-
-def test_compose_identity():
-    rng = np.random.default_rng(2)
-    t = random_pose(rng)
-    out = compose(RigidTransform.identity(), t)
-    np.testing.assert_allclose(out.rotation, t.rotation)
-    np.testing.assert_allclose(out.translation, t.translation)
-
-
-def test_compose_with_inverse_is_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        t = random_pose(rng)
-        out = compose(t, t.inverse())
-        assert np.linalg.norm(out.rotation - np.eye(3)) < 1e-9
-        assert np.linalg.norm(out.translation) < 1e-9
-
-
-def test_compose_matches_homogeneous_matrix_product():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        a, b = random_pose(rng), random_pose(rng)
-        expected = a.to_matrix() @ b.to_matrix()
-        out = compose(a, b)
-        np.testing.assert_allclose(out.to_matrix(), expected, atol=1e-12)
-
-
-def test_compose_preserves_orthonormality():
-    rng = np.random.default_rng(5)
-    for _ in range(10_000):
-        out = compose(random_pose(rng), random_pose(rng))
-        r = out.rotation
-        assert np.linalg.norm(r.T @ r - np.eye(3)) < 1e-9
 
 
 def test_rigid_transform_rejects_non_orthonormal():
@@ -236,32 +198,3 @@ def test_normal_matrix_rejects_non_unit():
 def test_normal_matrix_type_validates_trace():
     with pytest.raises(ValidationFailure):
         NormalMatrix6(0.5, 0, 0, 0.2, 0, 0.2)
-
-
-# ----------------------------------------------------------------- l1 loss
-
-def test_l1_loss_identical_inputs():
-    m = normal_matrix_from_unit_vector(np.array([0.0, 0.0, 1.0]))
-    assert l1_object_loss(np.zeros(3), np.zeros(3), m, m) == 0.0
-
-
-def test_l1_loss_unit_position_offset():
-    m = normal_matrix_from_unit_vector(np.array([0.0, 0.0, 1.0]))
-    p = np.array([1.0, 0.0, 0.0])
-    assert l1_object_loss(p, np.zeros(3), m, m) == 1.0
-
-
-def test_l1_loss_matches_scalar_loop():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        p, q = rng.normal(size=3), rng.normal(size=3)
-        na = rng.normal(size=3)
-        nb = rng.normal(size=3)
-        ma = normal_matrix_from_unit_vector(na / np.linalg.norm(na))
-        mb = normal_matrix_from_unit_vector(nb / np.linalg.norm(nb))
-        expected = 0.0
-        for i in range(3):
-            expected += abs(p[i] - q[i])
-        for a, b in zip(ma.as_array(), mb.as_array()):
-            expected += abs(a - b)
-        assert l1_object_loss(p, q, ma, mb) == pytest.approx(expected, rel=1e-12)

@@ -14,7 +14,7 @@ from ringsense.errors import (
     ValidationFailure,
 )
 from ringsense.geometry import RigidTransform, rotation_from_euler_xyz
-from ringsense.layout import visible_subset
+from ringsense.layout import all_corners, visible_subset
 from ringsense.pnp import (
     CorrespondenceSet,
     epnp_initialize,
@@ -112,19 +112,17 @@ def test_epnp_inconsistent_correspondences_behind_camera(camera):
 def test_epnp_handles_tilted_plane(camera, layout):
     # Coplanar reference points that do not lie in z = 0: re-expressing the
     # plate corners in a rotated-and-shifted frame S must shift the estimate
-    # by exactly S^-1.
-    from ringsense.geometry import compose
-
+    # by exactly S^-1, to (R S^T, t - R S^T t_S).
     rng = np.random.default_rng(20)
     pose = random_pose(rng)
     corrs = project_layout(camera, layout, pose)
     s = RigidTransform(rotation_from_euler_xyz(0.4, -0.3, 0.2), np.array([1.0, -2.0, 3.0]))
-    s_inv = s.inverse()
     tilted = replace(corrs, ref=s.apply(corrs.ref))
-    expected = compose(pose, s_inv)
+    expected_rotation = pose.rotation @ s.rotation.T
+    expected_translation = pose.translation - expected_rotation @ s.translation
     est = estimate_pose(camera, tilted)
-    assert np.max(np.abs(est.pose.translation - expected.translation)) < 1e-6
-    assert rotation_angle(est.pose.rotation.T @ expected.rotation) < 1e-8
+    assert np.max(np.abs(est.pose.translation - expected_translation)) < 1e-6
+    assert rotation_angle(est.pose.rotation.T @ expected_rotation) < 1e-8
 
 
 def test_epnp_non_planar_points(camera, layout):
@@ -247,6 +245,38 @@ def test_rejected_step_reuses_the_jacobian(camera, layout, monkeypatch):
     assert rejected > 0
 
 
+def test_jacobian_is_built_only_at_positive_depth(camera, layout, monkeypatch):
+    # _jacobian_block does not check depth; LM gives it only the points of
+    # poses _residuals found ahead of the camera. Each frame holds the
+    # pixels of a plate 0.05 mm behind the camera plane, solved from the
+    # same plate 0.05 mm in front of it: on some frames LM tries cheaper
+    # poses across the plane, in the per-frame (B = 1) and the batched loop.
+    ids, idx, corners = all_corners(layout)
+    depths = []
+
+    def jacobian_block(camera, pts_cam, translation):
+        depths.append(pts_cam[..., 2].min())
+        return pnp_jacobian_block(camera, pts_cam, translation)
+
+    pnp_jacobian_block = pnp._jacobian_block
+    monkeypatch.setattr(pnp, "_jacobian_block", jacobian_block)
+    rng = np.random.default_rng(15)
+    frames, inits = [], []
+    for _ in range(40):
+        rotation = rotation_from_euler_xyz(*rng.uniform(-0.02, 0.02, 3))
+        xy = rng.uniform(-1.0, 1.0, 2)
+        z = (corners @ rotation.T)[:, 2]
+        pts = corners @ rotation.T + np.append(xy, -0.05 - z.max())
+        img = np.column_stack([camera.fx * pts[:, 0] / pts[:, 2] + camera.cx,
+                               camera.fy * pts[:, 1] / pts[:, 2] + camera.cy])
+        frames.append(CorrespondenceSet(tag_ids=ids, corner_idx=idx, ref=corners, img=img))
+        inits.append(RigidTransform(rotation, np.append(xy, 0.05 - z.min())))
+    for corrs, init in zip(frames, inits):
+        refine_lm(camera, [corrs], [init])
+    refine_lm(camera, frames, inits)
+    assert min(depths) > 0
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 1.0),
        occlusion=st.floats(0.0, 0.5))
@@ -272,7 +302,7 @@ def test_gradient_stop_matches_the_solve_without_it(camera, layout, seed, sigma,
     for corrs, est, ref in zip(frames + frames, stopped, full):
         assert est.converged and ref.converged
         assert est.iterations_used <= ref.iterations_used
-        jac = pnp._jacobian_block(camera, est.pose.rotation, est.pose.translation, corrs.ref)
+        jac = pnp._jacobian_block(camera, est.pose.apply(corrs.ref), est.pose.translation)
         bound = math.sqrt(6) * pnp._GRADIENT_TOLERANCE / np.linalg.eigvalsh(jac.T @ jac)[0]
         assert np.max(np.abs(est.pose.translation - ref.pose.translation)) <= bound
         assert rotation_angle(est.pose.rotation.T @ ref.pose.rotation) <= bound

@@ -31,11 +31,10 @@ from ringsense.simulator import (
 )
 
 
-def diagonal_model(diag, limits=None, softening=0.0):
+def diagonal_model(diag, limits=None):
     return ComplianceModel(
         compliance=np.diag(diag),
         deformation_limit=np.array(limits if limits is not None else [1, 1, 1, 0.15, 0.15, 0.15]),
-        cubic_softening=softening,
     )
 
 
@@ -90,13 +89,6 @@ def test_deform_superposition(compliance):
 def test_deform_limit_exceeded(compliance):
     with pytest.raises(DeformationLimitExceeded):
         deform(compliance, Wrench(1e6, 0, 0, 0, 0, 0))
-
-
-def test_cubic_softening_term():
-    model = diagonal_model([0.01] * 6, limits=[10] * 6, softening=0.5)
-    delta = deform(model, Wrench(100.0, 0, 0, 0, 0, 0))
-    linear = 1.0
-    assert delta.dl_x == pytest.approx(linear + 0.5 * linear**3)
 
 
 def test_compliance_validation():
