@@ -12,7 +12,7 @@ pairing under diagonal compliance and adapts under coupling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import (
     UncoveredAxis,
     ValidationFailure,
     ZeroVariance,
+    check_keys,
     read_integer,
     read_number,
 )
@@ -85,6 +86,8 @@ class AxisModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AxisModel":
+        """Inverse of ``to_dict``; every key is required and an unknown key is an error."""
+        check_keys(data, [f.name for f in fields(cls)], "axis model")
         return cls(
             axis=read_integer(data["axis"], "axis"),
             input_component=read_integer(data["input_component"], "input_component"),
@@ -131,6 +134,9 @@ class CalibrationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationReport":
+        """Inverse of ``to_dict``; every key is required and an unknown key,
+        at the top level or in a model, is an error."""
+        check_keys(data, [f.name for f in fields(cls)], "calibration report")
         return cls(
             models=tuple(AxisModel.from_dict(m) for m in data["models"]),
             split_fraction=read_number(data["split_fraction"], "split_fraction"),

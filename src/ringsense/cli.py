@@ -43,6 +43,7 @@ from .errors import (
     RingSenseError,
     ValidationFailure,
     read_integer,
+    read_number,
 )
 from .geometry import (
     EULER_CONVENTION,
@@ -180,6 +181,18 @@ def _frame_lines(numbered_frames):
         yield template % (*corrs.img.ravel().tolist(), i, i * CONTROL_INTERVAL_S)
 
 
+def _coordinates(entries, key: str) -> list:
+    """The ``key`` list of each entry; every element must be a JSON number,
+    under the ``read_number`` rule (a boolean or a numeric string is rejected)."""
+    rows = [e[key] for e in entries]
+    # One set of element types per frame keeps the per-number call off the common path.
+    if not {type(v) for row in rows for v in row} <= {float, int}:
+        for row in rows:
+            for v in row:
+                read_number(v, key)
+    return rows
+
+
 def _corrs_from_row(row: dict) -> CorrespondenceSet:
     entries = row["entries"]
     n = len(entries)
@@ -189,8 +202,8 @@ def _corrs_from_row(row: dict) -> CorrespondenceSet:
                          dtype=np.int64),
         corner_idx=np.array([read_integer(e["corner"], "corner") for e in entries],
                             dtype=np.int64),
-        ref=np.array([e["ref_mm"] for e in entries], dtype=np.float64).reshape(n, 3),
-        img=np.array([e["img_px"] for e in entries], dtype=np.float64).reshape(n, 2),
+        ref=np.array(_coordinates(entries, "ref_mm"), dtype=np.float64).reshape(n, 3),
+        img=np.array(_coordinates(entries, "img_px"), dtype=np.float64).reshape(n, 2),
     )
 
 

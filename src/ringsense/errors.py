@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all ringsense modules, and the two checked
-readers every ``from_dict`` uses for the numbers of an input file.
+"""Exception hierarchy shared by all ringsense modules, the two checked
+readers every ``from_dict`` uses for the numbers of an input file, and the
+unknown-key check of the JSON objects a configuration file holds.
 
 Two families matter for the CLI exit-code contract: ``ValidationFailure``
 (bad or out-of-range input, exit code 1) and ``NumericalFailure``
@@ -36,6 +37,15 @@ def read_integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationFailure(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def check_keys(data: dict, known, what: str) -> None:
+    """Raise ValidationFailure naming every key of the JSON object ``data``
+    (a ``what``) that is not in ``known``, such as a misspelt field that a
+    reader would otherwise ignore."""
+    unknown = sorted(data.keys() - set(known))
+    if unknown:
+        raise ValidationFailure(f"unknown keys {unknown} in {what}; known: {', '.join(known)}")
 
 
 # geometry

@@ -30,6 +30,7 @@ from .errors import (
     NonPositiveDepth,
     NotUnitVector,
     ValidationFailure,
+    check_keys,
     read_number,
 )
 
@@ -139,7 +140,10 @@ class PinholeCamera:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PinholeCamera":
-        return cls(**{f.name: read_number(data[f.name], f.name) for f in fields(cls)})
+        """Inverse of ``to_dict``; every key is required and an unknown key is an error."""
+        names = [f.name for f in fields(cls)]
+        check_keys(data, names, "camera")
+        return cls(**{name: read_number(data[name], name) for name in names})
 
 
 def default_camera() -> PinholeCamera:

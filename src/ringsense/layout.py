@@ -28,6 +28,7 @@ from .errors import (
     TooFewTagsVisible,
     UnknownTagId,
     ValidationFailure,
+    check_keys,
     read_integer,
     read_number,
 )
@@ -113,16 +114,19 @@ class TagLayout:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TagLayout":
-        tags = tuple(
-            TagPlacement(
+        """Inverse of ``to_dict``; every key is required and an unknown key,
+        at the top level or in a tag, is an error."""
+        check_keys(data, ("tag_size_mm", "border_mm", "tags"), "layout")
+        tags = []
+        for t in data["tags"]:
+            check_keys(t, ("id", "center_mm", "yaw_rad"), "layout tag")
+            tags.append(TagPlacement(
                 tag_id=read_integer(t["id"], "id"),
                 center=(read_number(t["center_mm"][0], "center_mm"),
                         read_number(t["center_mm"][1], "center_mm")),
                 yaw=read_number(t["yaw_rad"], "yaw_rad"),
-            )
-            for t in data["tags"]
-        )
-        return cls(tags=tags, tag_size=read_number(data["tag_size_mm"], "tag_size_mm"),
+            ))
+        return cls(tags=tuple(tags), tag_size=read_number(data["tag_size_mm"], "tag_size_mm"),
                    border=read_number(data["border_mm"], "border_mm"))
 
 

@@ -54,14 +54,20 @@ alike; the gradient test is not an iteration, so a frame whose initial pose
 already passes it reports 0.
 
 Solvers are pure functions of their inputs; identical inputs give
-bit-identical estimates. There is no outlier rejection: correspondences
-carry known associations (simulated or id-decoded), so every entry enters
-the cost. A robust front end would be the extension point for raw detector
-input with association errors.
+bit-identical estimates. The one piece of hidden state is a one-entry memo
+(``_epnp_reference``) of the EPnP terms that depend only on a chunk's
+reference points, from the centroids and the SVD of the centered points to
+the barycentric coordinates and control-point distances. Every unoccluded
+frame has the same corner table, so a stream of such frames computes them
+once; a result from the memo is bit-identical to a cold solve. There is no
+outlier rejection: correspondences carry known associations (simulated or
+id-decoded), so every entry enters the cost. A robust front end would be
+the extension point for raw detector input with association errors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -200,20 +206,23 @@ class PoseEstimate:
 
 
 def _so3_exp(phi: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation for a 3-vector increment."""
-    angle = math.sqrt(float(phi[0]) ** 2 + float(phi[1]) ** 2 + float(phi[2]) ** 2)
-    k = np.array(
-        [
-            [0.0, -phi[2], phi[1]],
-            [phi[2], 0.0, -phi[0]],
-            [-phi[1], phi[0], 0.0],
-        ]
-    )
+    """Rodrigues rotation for a 3-vector increment: I + a K + b K^2, with K
+    the skew matrix of ``phi``, written out entry by entry in Python floats,
+    which for one 3x3 cost less than numpy operations. It equals the matrix
+    products to rounding (BLAS may fuse a diagonal entry's multiply-add)."""
+    x, y, z = phi.tolist()
+    angle = math.sqrt(x ** 2 + y ** 2 + z ** 2)
     if angle < 1e-12:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    a = math.sin(angle) / angle
-    b = (1.0 - math.cos(angle)) / (angle * angle)
-    return np.eye(3) + a * k + b * (k @ k)
+        a, b = 1.0, 0.5
+    else:
+        a = math.sin(angle) / angle
+        b = (1.0 - math.cos(angle)) / (angle * angle)
+    xy, xz, yz = b * (x * y), b * (x * z), b * (y * z)
+    return np.array([
+        [1.0 + b * (-(z * z) - y * y), -(a * z) + xy, a * y + xz],
+        [a * z + xy, 1.0 + b * (-(z * z) - x * x), -(a * x) + yz],
+        [-(a * y) + xz, a * x + yz, 1.0 + b * (-(y * y) - x * x)],
+    ])
 
 
 def _so3_exp_many(phi: np.ndarray) -> np.ndarray:
@@ -488,26 +497,31 @@ def refine_lm(
     return out
 
 
-def _epnp_chunk(camera, ref, img) -> list[RigidTransform]:
-    """Closed-form pose of B frames at once, ref (B, n, 3) and img (B, n, 2),
-    in input order. Planar frames get 3 control points and the others 4; a
-    chunk holding both kinds is solved as two sub-chunks."""
-    b, n = ref.shape[:2]
-    if n < 4:
-        raise DegenerateConfiguration(f"need at least 4 points, got {n}")
+@functools.lru_cache(maxsize=1)
+def _epnp_reference(data: bytes, shape: tuple[int, ...]):
+    """The reference-side EPnP terms of a (B, n, 3) stack of plate-frame
+    points, given as its float64 bytes and shape: the per-frame planarity
+    flags (B,), then, unless the stack mixes planar and non-planar frames
+    (None then), the centroids (B, 3), centered points (B, n, 3),
+    barycentric coordinates (B, n, k) and distances between the k control
+    points (B, k(k-1)/2), all read-only.
+
+    They depend on the reference points alone, which are the same corner
+    table in every unoccluded frame, so the last stack's terms are kept: a
+    repeat costs a hash of the bytes, not an SVD. A degenerate stack raises
+    on every call, since ``lru_cache`` does not keep exceptions.
+    """
+    ref = np.frombuffer(data).reshape(shape)
+    n = shape[1]
     centroid = ref.mean(axis=1)
     centered = ref - centroid[:, None]
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     if np.any(s[:, 1] <= 1e-9 * np.maximum(s[:, 0], 1e-300)):
         raise DegenerateConfiguration("reference points are collinear")
     planar = s[:, 2] <= _PLANAR_TOL * s[:, 0]
+    planar.setflags(write=False)
     if not planar.all() and planar.any():
-        out: list[RigidTransform | None] = [None] * b
-        for rows in (planar, ~planar):
-            for i, pose in zip(np.flatnonzero(rows).tolist(),
-                               _epnp_chunk(camera, ref[rows], img[rows])):
-                out[i] = pose
-        return out
+        return planar, None
 
     # Control points: the centroid plus one point along each principal axis,
     # two for planar frames and three otherwise. The axes are orthonormal, so
@@ -519,6 +533,31 @@ def _epnp_chunk(camera, ref, img) -> list[RigidTransform]:
                                 axis=1)  # (B, k, 3)
     coords = (centered @ axes.swapaxes(1, 2)) / scale[:, None]  # (B, n, k - 1)
     alphas = np.concatenate([1.0 - coords.sum(axis=2, keepdims=True), coords], axis=2)
+    first, second = _CONTROL_PAIRS[k]
+    dw = np.linalg.norm(ctrl_world[:, first] - ctrl_world[:, second], axis=2)
+    terms = (centroid, centered, alphas, dw)
+    for a in terms:
+        a.setflags(write=False)
+    return planar, terms
+
+
+def _epnp_chunk(camera, ref, img) -> list[RigidTransform]:
+    """Closed-form pose of B frames at once, ref (B, n, 3) and img (B, n, 2),
+    in input order. Planar frames get 3 control points and the others 4; a
+    chunk holding both kinds is solved as two sub-chunks."""
+    b, n = ref.shape[:2]
+    if n < 4:
+        raise DegenerateConfiguration(f"need at least 4 points, got {n}")
+    planar, terms = _epnp_reference(ref.tobytes(), ref.shape)
+    if terms is None:
+        out: list[RigidTransform | None] = [None] * b
+        for rows in (planar, ~planar):
+            for i, pose in zip(np.flatnonzero(rows).tolist(),
+                               _epnp_chunk(camera, ref[rows], img[rows])):
+                out[i] = pose
+        return out
+    centroid, centered, alphas, dw = terms
+    k = alphas.shape[2]
 
     m = np.zeros((b, n, 2, 3 * k))
     m[:, :, 0, 0::3] = alphas * camera.fx
@@ -532,7 +571,6 @@ def _epnp_chunk(camera, ref, img) -> list[RigidTransform]:
     # Fix scale by least-squares matching of inter-control-point distances.
     first, second = _CONTROL_PAIRS[k]
     dc = np.linalg.norm(ctrl_cam[:, first] - ctrl_cam[:, second], axis=2)
-    dw = np.linalg.norm(ctrl_world[:, first] - ctrl_world[:, second], axis=2)
     den = (dc * dc).sum(axis=1)
     if np.any(den <= 0):
         raise DegenerateConfiguration("null-space control points collapsed to a point")
@@ -588,9 +626,12 @@ def epnp_initialize(
 
 
 def _check_visible(corrs: CorrespondenceSet, allow_single_tag: bool) -> None:
+    """The tag gate. ``CorrespondenceSet`` holds at most 4 corners per tag
+    (no duplicate (tag, corner) pair, corners 0..3), so 8 corners imply at
+    least 2 tags and 4 at least 1: the corner minimum is the whole test."""
     mode, min_tags, min_entries = (("single-tag", 1, 4) if allow_single_tag
                                    else ("standard", 2, 8))
-    if corrs.tag_count < min_tags or len(corrs) < min_entries:
+    if len(corrs) < min_entries:
         raise TooFewTagsVisible(
             f"{corrs.tag_count} tag(s) / {len(corrs)} corner(s); {mode} mode "
             f"needs >= {min_tags} tag(s) and {min_entries} corners"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationReport
-from .errors import NonlinearModel, ValidationFailure, read_number
+from .errors import NonlinearModel, ValidationFailure, check_keys, read_number
 from .geometry import DeformationVector
 from .simulator import Wrench
 
@@ -60,10 +60,7 @@ class DetectionParams:
     def from_dict(cls, data: dict) -> "DetectionParams":
         """Inverse of ``to_dict``; every key is optional (an absent one takes
         the field's default) and an unknown key is an error."""
-        unknown = sorted(data.keys() - _FILE_KEYS.keys())
-        if unknown:
-            raise ValidationFailure(
-                f"unknown keys {unknown}; known: {', '.join(_FILE_KEYS)}")
+        check_keys(data, _FILE_KEYS, "detection params")
         return cls(**{name: read_number(data[key], key) for key, name in _FILE_KEYS.items()
                       if key in data})
 

@@ -316,14 +316,24 @@ _RETYPED = {
     ("calib", "numeric_string"): (["split_fraction"], "0.8"),
     ("calib", "fractional_integer"): (["models", 0, "degree"], 1.9),
 }
+# A key no reader knows, such as a misspelling or a field the model lacks:
+# (kind, corruption): (path to the object, key).
+_UNKNOWN_KEYS = {
+    ("camera", "unknown_key"): ([], "k1"),  # a distortion coefficient a pinhole ignores
+    ("layout", "unknown_key"): ([], "tag_size"),
+    ("layout", "unknown_tag_key"): (["tags", 5], "yaw"),
+    ("params", "unknown_key"): ([], "w_tag"),  # a typo for w_tag_mm
+    ("calib", "unknown_key"): ([], "seed"),
+    ("calib", "unknown_model_key"): (["models", 2], "r2"),
+}
 
 
 @pytest.mark.parametrize("kind, corruption", [
     (kind, corruption) for kind in _CONFIG_FILES
     for corruption in ("truncated", "missing_key", "non_numeric", "non_object", "nan", "inf")
     if (kind, corruption) != ("params", "missing_key")  # every params key is optional
-] + [("calib", "nan_coefficient"), ("calib", "inf_coefficient"), ("params", "unknown_key")]
-  + list(_RETYPED))
+] + [("calib", "nan_coefficient"), ("calib", "inf_coefficient")]
+  + list(_RETYPED) + list(_UNKNOWN_KEYS))
 def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline_dir, kind,
                                                       corruption):
     argv, payload, key = _CONFIG_FILES[kind]
@@ -337,8 +347,12 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
         payload[key] = float(corruption)
     elif corruption.endswith("_coefficient"):
         payload["models"][3]["coefficients"][1] = float(corruption[:3])
-    elif corruption == "unknown_key":
-        payload["w_tag"] = 3.0  # a typo for w_tag_mm
+    elif (kind, corruption) in _UNKNOWN_KEYS:
+        path, unknown = _UNKNOWN_KEYS[kind, corruption]
+        target = payload
+        for step in path:
+            target = target[step]
+        target[unknown] = 3.0
     elif (kind, corruption) in _RETYPED:
         path, value = _RETYPED[kind, corruption]
         target = payload
@@ -353,8 +367,24 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
-    if corruption == "unknown_key":
-        assert "'w_tag'" in err
+    if (kind, corruption) in _UNKNOWN_KEYS:
+        assert f"unknown keys ['{_UNKNOWN_KEYS[kind, corruption][1]}']" in err
+
+
+def test_written_config_files_load_back(tmp_path, pipeline_dir):
+    # Every configuration file the tool writes, and the default camera,
+    # passes the readers that reject unknown keys.
+    layout, camera, calib = tmp_path / "layout.json", tmp_path / "camera.json", tmp_path / "c.json"
+    assert main(["layout", "emit", "--out", str(layout), "--quiet"]) == 0
+    camera.write_text(json.dumps(default_camera().to_dict()))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--samples-per-axis", "20", "--layout", str(layout),
+                 "--camera", str(camera), "--out", str(sim), "--quiet"]) == 0
+    assert main(["calibrate", "--data", str(sim / "sweep.csv"), "--out", str(calib),
+                 "--quiet"]) == 0
+    for report in (calib, pipeline_dir / "calib.json"):
+        assert main(["sensitivity", "--calib", str(report), "--out", str(tmp_path / "s.json"),
+                     "--quiet"]) == 0
 
 
 def test_simulate_zero_samples_writes_empty_data(tmp_path):
@@ -448,6 +478,21 @@ def test_malformed_frames_are_validation_errors(tmp_path, capsys, frame_row, cor
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{frames} line 3:" in err
+
+
+@pytest.mark.parametrize("key", ["ref_mm", "img_px"])
+@pytest.mark.parametrize("value", ["64.5", True], ids=["string", "boolean"])
+def test_frame_coordinates_must_be_json_numbers(tmp_path, capsys, frame_row, key, value):
+    # numpy would read "64.5" as 64.5 and true as 1.0.
+    row = json.loads(json.dumps(frame_row))
+    row["entries"][3][key][1] = value
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text(json.dumps(frame_row) + "\n" + json.dumps(row) + "\n")
+    rc = main(["estimate", "--frames", str(frames),
+               "--out", str(tmp_path / "poses.jsonl"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {frames} line 2: bad frame row: {key} must be a number, got {value!r}\n")
 
 
 @pytest.fixture(scope="module")

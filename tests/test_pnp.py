@@ -14,7 +14,7 @@ from ringsense.errors import (
     ValidationFailure,
 )
 from ringsense.geometry import RigidTransform, rotation_from_euler_xyz
-from ringsense.layout import all_corners, visible_subset
+from ringsense.layout import all_corners, default_layout, visible_subset
 from ringsense.pnp import (
     CorrespondenceSet,
     epnp_initialize,
@@ -41,6 +41,23 @@ def jitter(corrs, sigma, rng):
     return replace(corrs, img=corrs.img + rng.normal(0, sigma, (len(corrs), 2)))
 
 
+def collinear_frame():
+    # Eight tags' corner 0 on one line: passes the tag gate, not EPnP.
+    i = np.arange(8)
+    return CorrespondenceSet(
+        tag_ids=i, corner_idx=np.zeros(8),
+        ref=np.column_stack([i, np.zeros(8), np.zeros(8)]),
+        img=np.column_stack([100.0 + 5.0 * i, np.full(8, 90.0)]))
+
+
+def same_estimate(a, b):
+    return (a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
+            and a.pose.translation.tobytes() == b.pose.translation.tobytes()
+            and a.rms_reprojection_error == b.rms_reprojection_error
+            and a.iterations_used == b.iterations_used and a.converged == b.converged
+            and a.cost_trace == b.cost_trace)
+
+
 def rotation_angle(r):
     # atan2 form stays accurate for tiny angles where acos((tr-1)/2) saturates.
     skew = (r - r.T) / 2.0
@@ -62,13 +79,8 @@ def test_epnp_noise_free_round_trip(camera, layout):
 
 
 def test_epnp_collinear_points_degenerate(camera):
-    i = np.arange(8)
-    corrs = CorrespondenceSet(
-        tag_ids=i, corner_idx=np.zeros(8),
-        ref=np.column_stack([i, np.zeros(8), np.zeros(8)]),
-        img=np.column_stack([100.0 + 5.0 * i, np.full(8, 90.0)]))
     with pytest.raises(DegenerateConfiguration):
-        epnp_initialize(camera, [corrs])
+        epnp_initialize(camera, [collinear_frame()])
 
 
 def test_epnp_too_few_points(camera):
@@ -150,6 +162,74 @@ def test_epnp_non_planar_points(camera, layout):
         assert rotation_angle(init.rotation.T @ pose.rotation) < 1e-8
     est = estimate_pose(camera, frames[0], allow_single_tag=True)
     assert np.max(np.abs(est.pose.translation - poses[0].translation)) < 1e-6
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 1.0),
+       occlusion=st.floats(0.0, 0.5), count=st.integers(1, 6))
+def test_reference_memo_is_bit_identical_to_a_cold_solve(camera, layout, seed, sigma,
+                                                          occlusion, count):
+    # Frames alternate between two layouts of 35 tags, so a chunk can stack
+    # both corner tables and consecutive solves change the memo's key. Each
+    # solve runs twice, the second on a warm memo, and must equal a solve
+    # after cache_clear() bit for bit, at B = 1 and batched.
+    layouts = (layout, default_layout(grid_pitch=2.8, ring_radius=8.5))
+    rng = np.random.default_rng(seed)
+    frames = []
+    for i in range(count):
+        tags = layouts[i % 2]
+        hidden = np.flatnonzero(rng.random(len(tags)) < occlusion)[:-2]
+        corrs = project_layout(camera, visible_subset(tags, set(hidden.tolist())),
+                               random_pose(rng))
+        frames.append(jitter(corrs, sigma, rng))
+
+    def warm(solve):
+        solve()
+        return solve()
+
+    def cold(solve):
+        pnp._epnp_reference.cache_clear()
+        return solve()
+
+    for corrs in frames:
+        assert same_estimate(warm(lambda: estimate_pose(camera, corrs)),
+                             cold(lambda: estimate_pose(camera, corrs)))
+    for got, want in zip(warm(lambda: estimate_poses(camera, frames)),
+                         cold(lambda: estimate_poses(camera, frames))):
+        assert same_estimate(got, want)
+
+
+def test_reference_memo_returns_read_only_arrays(camera, layout, reference_pose):
+    ref = np.stack([project_layout(camera, layout, reference_pose).ref] * 2)
+    planar, terms = pnp._epnp_reference(ref.tobytes(), ref.shape)
+    assert planar.tolist() == [True, True]
+    for a in (planar, *terms):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_degenerate_reference_raises_on_every_call(camera, layout, reference_pose):
+    # lru_cache keeps no exception, so a repeat re-runs the checks: on the
+    # first call, a repeat, and after a good frame.
+    pnp._epnp_reference.cache_clear()
+    for good_first in (False, False, True):
+        if good_first:
+            epnp_initialize(camera, [project_layout(camera, layout, reference_pose)])
+        with pytest.raises(DegenerateConfiguration, match="collinear"):
+            epnp_initialize(camera, [collinear_frame()])
+
+
+def test_repeated_corner_table_hits_the_reference_memo(camera, layout, reference_pose):
+    # A structural guard, not a timing test: the second frame of one corner
+    # table, with other pixels, reuses the first frame's reference terms.
+    rng = np.random.default_rng(3)
+    exact = project_layout(camera, layout, reference_pose)
+    pnp._epnp_reference.cache_clear()
+    estimate_pose(camera, jitter(exact, 0.25, rng))
+    hits = pnp._epnp_reference.cache_info().hits
+    estimate_pose(camera, jitter(exact, 0.25, rng))
+    assert pnp._epnp_reference.cache_info().hits == hits + 1
 
 
 # --------------------------------------------------------------- refine_lm
@@ -401,6 +481,36 @@ def test_estimate_pose_standard_mode_minimums(camera, layout, reference_pose):
     assert np.max(np.abs(est.pose.translation - reference_pose.translation)) < 1e-6
 
 
+def old_tag_gate(corrs, allow_single_tag):
+    # The gate as it was, testing the tag count as well as the corner count.
+    mode, min_tags, min_entries = (("single-tag", 1, 4) if allow_single_tag
+                                   else ("standard", 2, 8))
+    if corrs.tag_count < min_tags or len(corrs) < min_entries:
+        return (f"{corrs.tag_count} tag(s) / {len(corrs)} corner(s); {mode} mode "
+                f"needs >= {min_tags} tag(s) and {min_entries} corners")
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=14,
+                      unique=True),
+       allow_single_tag=st.booleans())
+def test_corner_minimum_gates_as_the_tag_and_corner_minimums(pairs, allow_single_tag):
+    # Any valid set of (tag, corner) pairs: the corner minimum alone accepts
+    # and rejects what the tag and corner minimums together did, with the
+    # same message.
+    n = len(pairs)
+    corrs = CorrespondenceSet(tag_ids=[t for t, _ in pairs], corner_idx=[c for _, c in pairs],
+                              ref=np.zeros((n, 3)), img=np.zeros((n, 2)))
+    expected = old_tag_gate(corrs, allow_single_tag)
+    if expected is None:
+        pnp._check_visible(corrs, allow_single_tag)
+    else:
+        with pytest.raises(TooFewTagsVisible) as exc:
+            pnp._check_visible(corrs, allow_single_tag)
+        assert str(exc.value) == expected
+
+
 def test_estimate_pose_deterministic(camera, layout, reference_pose):
     rng = np.random.default_rng(9)
     corrs = jitter(project_layout(camera, layout, reference_pose), 0.25, rng)
@@ -504,6 +614,26 @@ def test_jacobian_matches_central_finite_differences(camera):
                              camera.fy * dn[1] / dn[2] + camera.cy])
             fd[:, k] = (uv_p - uv_m) / (2 * step)
         assert np.max(np.abs(jac - fd)) < 1e-5
+
+
+def so3_exp_matrix(phi):
+    # The matrix form of Rodrigues' formula, I + a K + b K^2.
+    angle = float(np.linalg.norm(phi))
+    k = np.array([[0.0, -phi[2], phi[1]], [phi[2], 0.0, -phi[0]], [-phi[1], phi[0], 0.0]])
+    if angle < 1e-12:
+        return np.eye(3) + k + 0.5 * (k @ k)
+    a = math.sin(angle) / angle
+    b = (1.0 - math.cos(angle)) / (angle * angle)
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(phi=st.tuples(*[st.floats(-3.0, 3.0)] * 3), scale=st.sampled_from([1.0, 1e-6, 1e-13]))
+def test_so3_exp_matches_the_matrix_formula(phi, scale):
+    # Entry-by-entry floats against matrix products, which BLAS may fuse:
+    # equal to rounding. Scale 1e-13 takes the small-angle branch.
+    phi = np.array(phi) * scale
+    np.testing.assert_allclose(pnp._so3_exp(phi), so3_exp_matrix(phi), rtol=0, atol=1e-15)
 
 
 def test_jacobian_translation_block_halves_at_double_depth(camera):
