@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -181,29 +182,37 @@ def _frame_lines(numbered_frames):
         yield template % (*corrs.img.ravel().tolist(), i, i * CONTROL_INTERVAL_S)
 
 
-def _coordinates(entries, key: str) -> list:
-    """The ``key`` list of each entry; every element must be a JSON number,
-    under the ``read_number`` rule (a boolean or a numeric string is rejected)."""
+def _checked(values: list, name: str, read, types: set) -> list:
+    """``values``, each held to ``read`` (``read_number`` or ``read_integer``).
+    One set of element types per list keeps the per-value call off the
+    common path: ``types`` are the types that need no call."""
+    if not set(map(type, values)) <= types:
+        for v in values:
+            read(v, name)
+    return values
+
+
+def _coordinates(entries, key: str, width: int) -> np.ndarray:
+    """The ``key`` lists of ``entries`` as an (n, width) array; each list
+    must hold ``width`` JSON numbers (a boolean or a numeric string is not
+    one)."""
     rows = [e[key] for e in entries]
-    # One set of element types per frame keeps the per-number call off the common path.
-    if not {type(v) for row in rows for v in row} <= {float, int}:
-        for row in rows:
-            for v in row:
-                read_number(v, key)
-    return rows
+    if not set(map(len, rows)) <= {width}:
+        raise ValidationFailure(f"{key} must hold {width} numbers")
+    flat = _checked(list(chain.from_iterable(rows)), key, read_number, {float, int})
+    # reshape gives an empty frame its (0, width) shape.
+    return np.array(flat, dtype=np.float64).reshape(len(rows), width)
 
 
 def _corrs_from_row(row: dict) -> CorrespondenceSet:
     entries = row["entries"]
-    n = len(entries)
-    # reshape gives an empty frame its (0, 3) / (0, 2) shape.
     return CorrespondenceSet(
-        tag_ids=np.array([read_integer(e["tag_id"], "tag_id") for e in entries],
-                         dtype=np.int64),
-        corner_idx=np.array([read_integer(e["corner"], "corner") for e in entries],
-                            dtype=np.int64),
-        ref=np.array(_coordinates(entries, "ref_mm"), dtype=np.float64).reshape(n, 3),
-        img=np.array(_coordinates(entries, "img_px"), dtype=np.float64).reshape(n, 2),
+        tag_ids=np.array(_checked([e["tag_id"] for e in entries], "tag_id",
+                                  read_integer, {int}), dtype=np.int64),
+        corner_idx=np.array(_checked([e["corner"] for e in entries], "corner",
+                                     read_integer, {int}), dtype=np.int64),
+        ref=_coordinates(entries, "ref_mm", 3),
+        img=_coordinates(entries, "img_px", 2),
     )
 
 

@@ -206,23 +206,20 @@ class PoseEstimate:
 
 
 def _so3_exp(phi: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation for a 3-vector increment: I + a K + b K^2, with K
-    the skew matrix of ``phi``, written out entry by entry in Python floats,
-    which for one 3x3 cost less than numpy operations. It equals the matrix
-    products to rounding (BLAS may fuse a diagonal entry's multiply-add)."""
-    x, y, z = phi.tolist()
-    angle = math.sqrt(x ** 2 + y ** 2 + z ** 2)
+    """Rodrigues rotation for a 3-vector increment."""
+    angle = math.sqrt(float(phi[0]) ** 2 + float(phi[1]) ** 2 + float(phi[2]) ** 2)
+    k = np.array(
+        [
+            [0.0, -phi[2], phi[1]],
+            [phi[2], 0.0, -phi[0]],
+            [-phi[1], phi[0], 0.0],
+        ]
+    )
     if angle < 1e-12:
-        a, b = 1.0, 0.5
-    else:
-        a = math.sin(angle) / angle
-        b = (1.0 - math.cos(angle)) / (angle * angle)
-    xy, xz, yz = b * (x * y), b * (x * z), b * (y * z)
-    return np.array([
-        [1.0 + b * (-(z * z) - y * y), -(a * z) + xy, a * y + xz],
-        [a * z + xy, 1.0 + b * (-(z * z) - x * x), -(a * x) + yz],
-        [-(a * y) + xz, a * x + yz, 1.0 + b * (-(y * y) - x * x)],
-    ])
+        return np.eye(3) + k + 0.5 * (k @ k)
+    a = math.sin(angle) / angle
+    b = (1.0 - math.cos(angle)) / (angle * angle)
+    return np.eye(3) + a * k + b * (k @ k)
 
 
 def _so3_exp_many(phi: np.ndarray) -> np.ndarray:

@@ -444,6 +444,13 @@ def _two_value_ref(row):
     return json.dumps(row)
 
 
+def _ragged_ref(row):
+    # Five values over two entries: the flattened count still fits, the lists do not.
+    row["entries"][3]["ref_mm"] = row["entries"][3]["ref_mm"][:2]
+    row["entries"][4]["ref_mm"].append(0.0)
+    return json.dumps(row)
+
+
 def _retype(index, key, convert):
     # numpy reads each converted value back as the original integer.
     def corrupt(row):
@@ -457,6 +464,7 @@ def _retype(index, key, convert):
     _drop_ref,
     lambda row: json.dumps(row)[:200],
     _two_value_ref,
+    _ragged_ref,
     _retype(3, "tag_id", lambda v: v + 0.5),
     _retype(3, "corner", lambda v: v + 0.9),
     _retype(3, "tag_id", str),
@@ -464,7 +472,7 @@ def _retype(index, key, convert):
     _retype(3, "corner", float),
     lambda row: json.dumps({**row, "frame": "abc"}),
     lambda row: json.dumps({**row, "frame": True}),
-], ids=["missing_ref_mm", "truncated_json", "two_value_ref_mm", "fractional_tag_id",
+], ids=["missing_ref_mm", "truncated_json", "two_value_ref_mm", "ragged_ref_mm", "fractional_tag_id",
         "fractional_corner", "string_tag_id", "boolean_corner", "float_corner", "string_frame",
         "boolean_frame"])
 def test_malformed_frames_are_validation_errors(tmp_path, capsys, frame_row, corrupt):

@@ -616,26 +616,6 @@ def test_jacobian_matches_central_finite_differences(camera):
         assert np.max(np.abs(jac - fd)) < 1e-5
 
 
-def so3_exp_matrix(phi):
-    # The matrix form of Rodrigues' formula, I + a K + b K^2.
-    angle = float(np.linalg.norm(phi))
-    k = np.array([[0.0, -phi[2], phi[1]], [phi[2], 0.0, -phi[0]], [-phi[1], phi[0], 0.0]])
-    if angle < 1e-12:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    a = math.sin(angle) / angle
-    b = (1.0 - math.cos(angle)) / (angle * angle)
-    return np.eye(3) + a * k + b * (k @ k)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(phi=st.tuples(*[st.floats(-3.0, 3.0)] * 3), scale=st.sampled_from([1.0, 1e-6, 1e-13]))
-def test_so3_exp_matches_the_matrix_formula(phi, scale):
-    # Entry-by-entry floats against matrix products, which BLAS may fuse:
-    # equal to rounding. Scale 1e-13 takes the small-angle branch.
-    phi = np.array(phi) * scale
-    np.testing.assert_allclose(pnp._so3_exp(phi), so3_exp_matrix(phi), rtol=0, atol=1e-15)
-
-
 def test_jacobian_translation_block_halves_at_double_depth(camera):
     pose = RigidTransform(np.eye(3), np.array([0.0, 0.0, 10.0]))
     deep = RigidTransform(np.eye(3), np.array([0.0, 0.0, 20.0]))
