@@ -12,11 +12,13 @@ pairing under diagonal compliance and adapts under coupling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import (
+    NumericalFailure,
     RankDeficient,
     TooFewSamples,
     UncoveredAxis,
@@ -56,6 +58,9 @@ class AxisModel:
             raise ValidationFailure(f"coefficients must be finite, got {list(self.coefficients)}")
         if not (0 <= self.axis <= 5 and 0 <= self.input_component <= 5):
             raise ValidationFailure("axis and input_component must be 0..5")
+        metrics = [self.r2_train, self.rmse_train, self.r2_test, self.rmse_test]
+        if not all(math.isfinite(m) for m in metrics if m is not None):
+            raise ValidationFailure(f"r2 and rmse must be finite, got {metrics}")
         if self.rmse_train < 0 or (self.rmse_test is not None and self.rmse_test < 0):
             raise ValidationFailure("rmse must be non-negative")
         if self.r2_test is not None and self.r2_test > 1:
@@ -181,6 +186,26 @@ def _select_input_component(x: np.ndarray, y_axis: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
+def _r2_rmse(target: np.ndarray, pred: np.ndarray, axis: int, data: str) -> tuple[float, float]:
+    """(R^2, RMSE) of the predictions ``pred`` of wrench axis ``axis`` on the
+    ``data`` samples: R^2 = 1 - SS_res / SS_tot about their mean, RMSE =
+    sqrt(SS_res / n).
+
+    Raises:
+        ZeroVariance: the targets are constant.
+        NumericalFailure: a sum of squares is not finite, as when values near
+        1e308 overflow.
+    """
+    ss_res = float(np.sum((target - pred) ** 2))
+    ss_tot = float(np.sum((target - target.mean()) ** 2))
+    if ss_tot == 0.0:
+        raise ZeroVariance(f"wrench axis {axis} has zero variance on the {data} data")
+    if not (math.isfinite(ss_res) and math.isfinite(ss_tot)):
+        raise NumericalFailure(
+            f"wrench axis {axis}: a sum of squares on the {data} data is not finite")
+    return 1.0 - ss_res / ss_tot, math.sqrt(ss_res / len(target))
+
+
 def fit_axis(x: np.ndarray, y: np.ndarray, axis: int, degree: int = 1) -> AxisModel:
     """Least-squares polynomial fit for one wrench axis on training samples.
 
@@ -190,6 +215,7 @@ def fit_axis(x: np.ndarray, y: np.ndarray, axis: int, degree: int = 1) -> AxisMo
     Raises:
         TooFewSamples: fewer than degree + 2 training samples.
         RankDeficient: the selected input column is constant.
+        ZeroVariance, NumericalFailure: see ``_r2_rmse``.
     """
     if degree not in (1, 3):
         raise ValidationFailure(f"degree must be 1 or 3, got {degree}")
@@ -204,18 +230,14 @@ def fit_axis(x: np.ndarray, y: np.ndarray, axis: int, degree: int = 1) -> AxisMo
     coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < degree + 1:
         raise RankDeficient("design matrix is rank deficient")
-    pred = design @ coeffs
-    ss_res = float(np.sum((target - pred) ** 2))
-    ss_tot = float(np.sum((target - target.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise ZeroVariance(f"wrench axis {axis} has zero variance on the training data")
+    r2, rmse = _r2_rmse(target, design @ coeffs, axis, "training")
     return AxisModel(
         axis=axis,
         input_component=component,
         coefficients=tuple(float(c) for c in coeffs),
         degree=degree,
-        r2_train=1.0 - ss_res / ss_tot,
-        rmse_train=float(np.sqrt(ss_res / len(x))),
+        r2_train=r2,
+        rmse_train=rmse,
     )
 
 
@@ -226,17 +248,12 @@ def evaluate(model: AxisModel, x: np.ndarray, y: np.ndarray) -> tuple[float, flo
 
     Raises:
         TooFewSamples: fewer than 2 test samples.
-        ZeroVariance: held-out targets are constant.
+        ZeroVariance, NumericalFailure: see ``_r2_rmse``.
     """
     if len(x) < 2:
         raise TooFewSamples(f"need at least 2 test samples, got {len(x)}")
     target = y[:, model.axis]
-    pred = model.predict(x[:, model.input_component])
-    ss_res = float(np.sum((target - pred) ** 2))
-    ss_tot = float(np.sum((target - target.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise ZeroVariance(f"wrench axis {model.axis} has zero variance on the test data")
-    return 1.0 - ss_res / ss_tot, float(np.sqrt(ss_res / len(x)))
+    return _r2_rmse(target, model.predict(x[:, model.input_component]), model.axis, "test")
 
 
 def calibrate(x: np.ndarray, y: np.ndarray,
@@ -249,6 +266,9 @@ def calibrate(x: np.ndarray, y: np.ndarray,
 
     Raises:
         ValidationFailure: if ``x`` and ``y`` are not both (n, 6).
+        TooFewSamples: if the training side of the split holds fewer than
+        degree + 2 samples (the fit) or the held-out side fewer than 2 (the
+        evaluation).
         UncoveredAxis: if a wrench axis has no excitation in the data or in
         either side of the split.
     """
@@ -258,6 +278,14 @@ def calibrate(x: np.ndarray, y: np.ndarray,
         if len(y) == 0 or np.ptp(y[:, axis]) == 0.0:
             raise UncoveredAxis(f"wrench axis {axis} ({_AXIS_NAMES[axis]}) has no excitation")
     train, test = split_indices(len(y), config.split_fraction, config.seed)
+    for name, part, need, use in (("training", train, config.degree + 2,
+                                   f"the degree-{config.degree} fit"),
+                                  ("held-out", test, 2, "the evaluation")):
+        if len(part) < need:
+            raise TooFewSamples(
+                f"the {name} split holds {len(part)} of {len(y)} samples but {use} needs "
+                f"at least {need}; change the split fraction"
+            )
     # A global split can starve an axis at small sample counts; fail with an
     # actionable message rather than an undefined R^2 downstream.
     for name, part in (("training", train), ("held-out", test)):

@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
@@ -39,7 +40,6 @@ from .contact import (
     run_episode,
 )
 from .errors import (
-    EulerOutOfRange,
     NumericalFailure,
     RingSenseError,
     ValidationFailure,
@@ -88,55 +88,49 @@ def _dump_jsonl(path: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _utf8_lines(path: Path, fh):
-    """(line number, line) of each line of ``fh``, a text file opened with
-    ``errors="surrogateescape"``; a line that is not UTF-8 raises
-    ValidationFailure naming the file, the line and the first bad byte."""
-    for lineno, line in enumerate(fh, 1):
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00  # surrogateescape maps byte b to U+DC00 + b
-                raise ValidationFailure(
-                    f"{path} line {lineno}: byte 0x{byte:02x} is not UTF-8") from None
-        yield lineno, line
+# What a decoder, a parser or a ``from_dict`` raises on a malformed input file.
+# UnicodeDecodeError and json.JSONDecodeError are ValueErrors; nesting too deep
+# for json raises RecursionError, and a CSV field over the csv module's size
+# limit raises csv.Error.
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError,
+              RecursionError, csv.Error, ValidationFailure)
 
 
-def _load_jsonl(path: Path, parse, kind: str) -> list:
-    """``parse`` of each non-blank line of a JSONL file; bytes that are not
-    UTF-8, invalid JSON or a row that ``parse`` rejects raise
-    ValidationFailure naming the file and line."""
+def _malformed(path: Path, lineno: int | None, what: str, exc: Exception) -> ValidationFailure:
+    """The one-line error for ``exc``, raised reading a ``what`` from ``path``;
+    it names the file and, for a line-based file, the line ``lineno``."""
+    if isinstance(exc, UnicodeDecodeError):
+        detail = f"byte 0x{exc.object[exc.start]:02x} is not UTF-8"
+    elif isinstance(exc, (json.JSONDecodeError, RecursionError)):
+        detail = f"invalid JSON: {exc}"
+    else:
+        detail = f"bad {what}: {f'missing field {exc}' if isinstance(exc, KeyError) else exc}"
+    return ValidationFailure(f"{path}{'' if lineno is None else f' line {lineno}'}: {detail}")
+
+
+def _load_json(path: Path, parse, what: str):
+    """``parse`` of a JSON file decoded as strict UTF-8."""
+    try:
+        return parse(json.loads(path.read_bytes().decode("utf-8")))
+    except _MALFORMED as exc:
+        raise _malformed(path, None, what, exc) from exc
+
+
+def _load_jsonl(path: Path, parse, what: str) -> list:
+    """``parse`` of each non-blank line of a JSONL file, each line decoded as
+    strict UTF-8."""
     rows = []
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in _utf8_lines(path, fh):
-            if not line.strip():
-                continue
+    # A frames line runs to about 12 KB; with the default 8 KiB buffer,
+    # readline joins two reads for most lines.
+    with path.open("rb", buffering=1 << 16) as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationFailure(f"{path} line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                rows.append(parse(row))
-            except (KeyError, TypeError, ValueError, OverflowError, ValidationFailure) as exc:
-                detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-                raise ValidationFailure(f"{path} line {lineno}: bad {kind} row: {detail}") from exc
+                line = raw.decode("utf-8")
+                if line.strip():
+                    rows.append(parse(json.loads(line)))
+            except _MALFORMED as exc:
+                raise _malformed(path, lineno, what, exc) from exc
     return rows
-
-
-def _load_json(path: Path, parse, kind: str):
-    """``parse`` of a JSON file; invalid JSON or a value that ``parse``
-    rejects raises ValidationFailure naming the file."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ValidationFailure(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return parse(data)
-    except (LookupError, TypeError, ValueError, AttributeError, OverflowError,
-            ValidationFailure) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ValidationFailure(f"{path}: bad {kind}: {detail}") from exc
 
 
 def _digest(path: Path) -> str:
@@ -228,30 +222,32 @@ def _write_sweep_csv(path: Path, axes, magnitudes, wrenches: np.ndarray,
 
 
 def _read_sweep_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """(deformations, wrenches) of a sweep CSV as two (n, 6) arrays; a bad
-    row, or a line that is not UTF-8, raises ValidationFailure or
-    EulerOutOfRange naming the file and line."""
+    """(deformations, wrenches) of a sweep CSV as two (n, 6) arrays, each line
+    decoded as strict UTF-8; a bad row names its physical line."""
     lines, rows = [], []
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.DictReader(line for _, line in _utf8_lines(path, fh))
-        missing = set(SWEEP_HEADER) - set(reader.fieldnames or [])
-        if missing:
-            raise ValidationFailure(f"{path}: missing columns {sorted(missing)}")
-        for row in reader:
-            try:
-                rows.append([float(row[k]) for k in SWEEP_HEADER[2:]])
-            except (TypeError, ValueError) as exc:
-                raise ValidationFailure(
-                    f"{path} line {reader.line_num}: bad sweep row: {exc}") from exc
-            lines.append(reader.line_num)
+    with path.open("rb") as fh:
+        reader = csv.DictReader(raw.decode("utf-8") for raw in fh)
+        try:
+            missing = set(SWEEP_HEADER) - set(reader.fieldnames or [])
+            if not missing:
+                for row in reader:
+                    rows.append([float(row[k]) for k in SWEEP_HEADER[2:]])
+                    lines.append(reader.line_num)
+        except _MALFORMED as exc:
+            # The csv reader counts each line it receives before parsing it
+            # (DictReader.line_num lags on an error); a line that fails to
+            # decode never reaches it.
+            lineno = reader.reader.line_num + isinstance(exc, UnicodeDecodeError)
+            raise _malformed(path, lineno, "sweep row", exc) from exc
+    if missing:
+        raise _malformed(path, None, "sweep CSV", ValueError(f"missing columns {sorted(missing)}"))
     values = np.array(rows, dtype=np.float64).reshape(len(rows), 12)
-    for bad, error, reason in (
-        (~np.isfinite(values).all(axis=1), ValidationFailure, "values must be finite"),
-        ((np.abs(values[:, 9:]) >= np.pi / 2).any(axis=1), EulerOutOfRange,
-         "rotations must satisfy |angle| < pi/2"),
+    for bad, reason in (
+        (~np.isfinite(values).all(axis=1), "values must be finite"),
+        ((np.abs(values[:, 9:]) >= np.pi / 2).any(axis=1), "rotations must satisfy |angle| < pi/2"),
     ):
         if bad.any():
-            raise error(f"{path} line {lines[np.argmax(bad)]}: bad sweep row: {reason}")
+            raise _malformed(path, lines[np.argmax(bad)], "sweep row", ValueError(reason))
     return values[:, 6:], values[:, :6]
 
 
@@ -342,7 +338,7 @@ def _solver_summary(estimates: list[PoseEstimate]) -> str:
 def _cmd_estimate(args) -> int:
     camera = _load_camera(args.camera)
     frames = _load_jsonl(Path(args.frames), lambda row: (
-        read_integer(row["frame"], "frame"), _corrs_from_row(row)), "frame")
+        read_integer(row["frame"], "frame"), _corrs_from_row(row)), "frame row")
     estimates = estimate_poses(camera, [corrs for _, corrs in frames],
                                allow_single_tag=args.allow_single_tag)
     _dump_jsonl(Path(args.out), ({"frame": frame, **estimate.to_dict()}
@@ -427,29 +423,14 @@ def _cmd_monitor(args) -> int:
         debounce_frames=args.debounce,
     )
 
-    poses = _load_jsonl(Path(args.poses), PoseEstimate.from_dict, "pose")
+    poses = _load_jsonl(Path(args.poses), PoseEstimate.from_dict, "pose row")
     traj = ApproachTrajectory(start_joints=_joints(args.start_joints, "--start-joints"),
                               target_joints=_joints(args.target_joints, "--target-joints"),
                               total_frames=config.total_frames)
     result = run_episode(traj, config, iter(poses))
-    payload = {
-        "object": args.object,
-        "config": {
-            "threshold_mm": config.threshold_mm,
-            "total_frames": config.total_frames,
-            "control_interval_s": CONTROL_INTERVAL_S,
-            "debounce_frames": config.debounce_frames,
-        },
-        "event": None if result.event is None else {
-            "frame_index": result.event.frame_index,
-            "delta_z_mm": result.event.delta_z_mm,
-            "phase": result.event.phase,
-        },
-        "delta_z_mm": list(result.delta_z_mm),
-        "commands": [[f, list(j)] for f, j in result.commands],
-        "skipped_frames": list(result.skipped_frames),
-        "final_phase": result.final_phase,
-    }
+    payload = {"object": args.object,
+               "config": {**asdict(config), "control_interval_s": CONTROL_INTERVAL_S},
+               **asdict(result)}
     _dump_json(Path(args.out), payload)
     if result.event is not None:
         _info(args, f"contact at frame {result.event.frame_index}")
@@ -615,7 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        # Non-finite values end in the finiteness checks' one-line errors;
+        # numpy's floating-point warnings would only add lines to stderr.
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

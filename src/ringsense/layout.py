@@ -33,6 +33,7 @@ from .errors import (
     read_number,
 )
 
+_INT64 = np.iinfo(np.int64)  # tag ids are int64 in every CorrespondenceSet
 _RING_COUNT = 26  # tags on the ring around the 3x3 grid of default_layout
 # Local corner order: counter-clockwise from bottom-left, unit half-size.
 _CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
@@ -62,6 +63,9 @@ class TagLayout:
         if self.tag_size <= 0 or self.border < 0:
             raise ValidationFailure("tag_size must be positive and border non-negative")
         ids = [t.tag_id for t in self.tags]
+        outside = [i for i in ids if not _INT64.min <= i <= _INT64.max]
+        if outside:
+            raise ValidationFailure(f"tag ids must fit in int64, got {outside[0]}")
         if len(ids) != len(set(ids)):
             raise ValidationFailure("tag ids must be unique within a layout")
         self._check_overlap()

@@ -14,6 +14,7 @@ from ringsense.calibration import (
     split_indices,
 )
 from ringsense.errors import (
+    NumericalFailure,
     RankDeficient,
     TooFewSamples,
     UncoveredAxis,
@@ -171,6 +172,20 @@ def test_evaluate_zero_variance():
         evaluate(model, x, y)
 
 
+def test_overflowing_sums_of_squares_are_numerical_failures():
+    # One wrench of 1e308 overflows the sums of squares: the fit and the
+    # evaluation raise, naming the axis, instead of returning NaN or -inf.
+    x, y = make_samples(10)
+    y[3, 2] = 1e308
+    model = AxisModel(axis=2, input_component=2, coefficients=(0.0, 1.0),
+                      degree=1, r2_train=1.0, rmse_train=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure, match="wrench axis 2: .* training data"):
+            fit_axis(x, y, 2)
+        with pytest.raises(NumericalFailure, match="wrench axis 2: .* test data"):
+            evaluate(model, x, y)
+
+
 # -------------------------------------------------------------- calibrate
 
 def test_calibrate_noiseless_r2():
@@ -231,3 +246,9 @@ def test_axis_model_validation():
         with pytest.raises(ValidationFailure, match="coefficients must be finite"):
             AxisModel(axis=0, input_component=0, coefficients=(0.0, bad), degree=1,
                       r2_train=1.0, rmse_train=0.0)
+    for metric in ("r2_train", "rmse_train", "r2_test", "rmse_test"):
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ValidationFailure, match="r2 and rmse must be finite"):
+                AxisModel(**{"axis": 0, "input_component": 0, "coefficients": (0.0, 1.0),
+                             "degree": 1, "r2_train": 1.0, "rmse_train": 0.0, "r2_test": 1.0,
+                             "rmse_test": 0.0, metric: bad})

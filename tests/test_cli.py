@@ -1,10 +1,11 @@
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -183,6 +184,22 @@ def test_pipeline_reports_stage_times_unless_quiet(tmp_path, capsys):
         assert path.read_bytes() == (tmp_path / "quiet" / path.name).read_bytes(), path.name
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["calibrate", "--data", "{data}", "--split", "1e-9"],
+     "the training split holds 0 of 120 samples but the degree-1 fit needs at least 3"),
+    (["calibrate", "--data", "{data}", "--split", "0.9999999", "--degree", "3"],
+     "the held-out split holds 0 of 120 samples but the evaluation needs at least 2"),
+    (["pipeline", "--samples-per-axis", "10", "--split", "1e-9"],
+     "stage 'calibrate': the training split holds 0 of 60 samples"),
+], ids=["calibrate_1e-9", "calibrate_0.9999999", "pipeline_1e-9"])
+def test_extreme_split_names_the_starved_side(tmp_path, capsys, pipeline_dir, argv, expected):
+    argv = [a.format(data=pipeline_dir / "sweep.csv") for a in argv]
+    rc = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+
+
 def test_pipeline_zero_noise_r2(tmp_path):
     out = tmp_path / "zero"
     rc = main(["pipeline", "--seed", "3", "--sigma", "0", "--out", str(out),
@@ -303,18 +320,22 @@ _CONFIG_FILES = {
     "calib": (["sensitivity", "--calib", "{config}"], None, "split_fraction"),
 }
 # A value a lax reader takes: a boolean or a numeric string for a number, a
-# fractional number for an integer it truncates. (kind, corruption): (path, value).
-_RETYPED = {
+# fractional number for an integer it truncates, an integer beyond the int64
+# tag ids, a non-finite fit metric. (kind, corruption): (path, value).
+_BAD_VALUES = {
     ("camera", "boolean"): (["fy"], True),
     ("camera", "numeric_string"): (["cx"], "128"),
     ("layout", "boolean"): (["tag_size_mm"], True),
     ("layout", "numeric_string"): (["border_mm"], "0.2"),
     ("layout", "fractional_integer"): (["tags", 34, "id"], 34.9),
+    ("layout", "int64_overflow_id"): (["tags", 34, "id"], 99999999999999999999999),
     ("params", "boolean"): (["d_r"], True),
     ("params", "numeric_string"): (["d_r"], "0.25"),
     ("calib", "boolean"): (["models", 3, "coefficients", 1], True),
     ("calib", "numeric_string"): (["split_fraction"], "0.8"),
     ("calib", "fractional_integer"): (["models", 0, "degree"], 1.9),
+    ("calib", "nan_r2_train"): (["models", 2, "r2_train"], float("nan")),
+    ("calib", "inf_r2_test"): (["models", 0, "r2_test"], -float("inf")),
 }
 # A key no reader knows, such as a misspelling or a field the model lacks:
 # (kind, corruption): (path to the object, key).
@@ -330,10 +351,11 @@ _UNKNOWN_KEYS = {
 
 @pytest.mark.parametrize("kind, corruption", [
     (kind, corruption) for kind in _CONFIG_FILES
-    for corruption in ("truncated", "missing_key", "non_numeric", "non_object", "nan", "inf")
+    for corruption in ("truncated", "missing_key", "non_numeric", "non_object", "nan", "inf",
+                       "non_utf8")
     if (kind, corruption) != ("params", "missing_key")  # every params key is optional
 ] + [("calib", "nan_coefficient"), ("calib", "inf_coefficient")]
-  + list(_RETYPED) + list(_UNKNOWN_KEYS))
+  + list(_BAD_VALUES) + list(_UNKNOWN_KEYS))
 def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline_dir, kind,
                                                       corruption):
     argv, payload, key = _CONFIG_FILES[kind]
@@ -353,15 +375,19 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
         for step in path:
             target = target[step]
         target[unknown] = 3.0
-    elif (kind, corruption) in _RETYPED:
-        path, value = _RETYPED[kind, corruption]
+    elif (kind, corruption) in _BAD_VALUES:
+        path, value = _BAD_VALUES[kind, corruption]
         target = payload
         for step in path[:-1]:
             target = target[step]
         target[path[-1]] = value
-    text = json.dumps([1] if corruption == "non_object" else payload)
+    data = json.dumps([1] if corruption == "non_object" else payload).encode()
+    if corruption == "truncated":
+        data = data[:len(data) // 2]
+    elif corruption == "non_utf8":
+        data = data[:1] + b"\xff" + data[1:]
     config = tmp_path / "config.json"
-    config.write_text(text[:len(text) // 2] if corruption == "truncated" else text)
+    config.write_bytes(data)
     rc = main([a.format(config=config, calib=calib) for a in argv]
               + ["--out", str(tmp_path / "out"), "--quiet"])
     err = capsys.readouterr().err
@@ -369,6 +395,8 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
     assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
     if (kind, corruption) in _UNKNOWN_KEYS:
         assert f"unknown keys ['{_UNKNOWN_KEYS[kind, corruption][1]}']" in err
+    if corruption == "non_utf8":
+        assert err == f"error: {config}: byte 0xff is not UTF-8\n"
 
 
 def test_written_config_files_load_back(tmp_path, pipeline_dir):
@@ -620,3 +648,132 @@ def test_non_numeric_joints_are_validation_errors(tmp_path, capsys, pipeline_dir
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and f"{flag} must be comma-separated numbers" in err
+
+
+def test_oversized_sweep_csv_field_names_its_line(tmp_path, capsys, pipeline_dir):
+    lines = (pipeline_dir / "sweep.csv").read_bytes().splitlines(keepends=True)
+    lines[1] = b"[" * 200_000 + lines[1]  # past the csv module's 131072-character field limit
+    data = tmp_path / "sweep.csv"
+    data.write_bytes(b"".join(lines))
+    rc = main(["calibrate", "--data", str(data), "--out", str(tmp_path / "c.json"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {data} line 2: bad sweep row: field larger than field limit (131072)\n")
+
+
+# ------------------------------------------------------- mutated input files
+
+# A JSON or CSV number that is not part of a key or of another number.
+_NUMBER = re.compile(rb"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?![\w.])")
+_NUMBER_SWAPS = [b"NaN", b"Infinity", b"1e308", b"9" * 23, b'"x"', b"null"]
+_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["truncate", "flip", "duplicate", "nest"]),
+              st.integers(0, 2**24), st.integers(1, 255)),
+    st.tuples(st.just("number"), st.integers(0, 2**24), st.sampled_from(_NUMBER_SWAPS)),
+)
+
+
+def _mutate(data: bytes, op: str, index: int, value) -> bytes:
+    """``data`` with one mutation: cut at byte ``index``, XOR byte ``index``
+    with ``value``, repeat line ``index``, insert 5000 ``[`` at byte
+    ``index``, or replace number ``index`` with ``value``. Each index wraps
+    around the count of its bytes, lines or numbers."""
+    if op == "truncate":
+        return data[:index % (len(data) + 1)]
+    if op == "flip":
+        i = index % len(data)
+        return data[:i] + bytes([data[i] ^ value]) + data[i + 1:]
+    if op == "duplicate":
+        lines = data.splitlines(keepends=True)
+        i = index % len(lines)
+        return b"".join(lines[:i + 1] + lines[i:])
+    if op == "nest":
+        i = index % (len(data) + 1)
+        return data[:i] + b"[" * 5000 + data[i:]
+    numbers = list(_NUMBER.finditer(data))
+    number = numbers[index % len(numbers)]
+    return data[:number.start()] + value + data[number.end():]
+
+
+@pytest.fixture(scope="module")
+def input_files(pipeline_dir):
+    """For each of the seven kinds of CLI input file: the argv that reads it
+    as ``{file}``, and a small valid file's bytes."""
+    calib = pipeline_dir / "calib.json"
+
+    def head(name, n):
+        return b"".join((pipeline_dir / name).read_bytes().splitlines(keepends=True)[:n])
+
+    def config(payload):
+        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+    simulate = ["simulate", "--axis", "0", "--samples-per-axis", "1"]
+    return {
+        "frames": (["estimate", "--frames", "{file}"], head("frames.jsonl", 3)),
+        "poses": (["monitor", "--threshold", "0.5", "--frames", "12", "--poses", "{file}"],
+                  head("poses.jsonl", 20)),
+        "sweep": (["calibrate", "--data", "{file}"], (pipeline_dir / "sweep.csv").read_bytes()),
+        "camera": ([*simulate, "--camera", "{file}"], config(default_camera().to_dict())),
+        "layout": ([*simulate, "--layout", "{file}"], config(default_layout().to_dict())),
+        "params": (["sensitivity", "--calib", str(calib), "--params", "{file}"],
+                   config(DetectionParams().to_dict())),
+        "calib": (["sensitivity", "--calib", "{file}"], calib.read_bytes()),
+    }
+
+
+def _run_mutated(tmp_path, capsys, input_files, kind, mutation):
+    """(exit code, stderr, path) of the ``kind`` command on its mutated input,
+    run with every warning raised as an error."""
+    argv, data = input_files[kind]
+    path = tmp_path / f"{kind}.in"
+    path.write_bytes(_mutate(data, *mutation))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([a.format(file=path) for a in argv]
+                  + ["--out", str(tmp_path / f"{kind}.out"), "--quiet"])
+    return rc, capsys.readouterr().err, path
+
+
+# Each input that once ended in a traceback or in warnings on stderr, with its
+# exit code and stderr. Sorted keys put fx third in a camera file, and tag 0's
+# x third and its id fifth in a layout file; fz is the fifth number of a sweep row.
+_TRIGGERS = {
+    **{(kind, ("nest", 0, 0)): (1, "error: {file}" + line + ": invalid JSON: maximum recursion")
+       for kind, line in [("frames", " line 1"), ("poses", " line 1"), ("camera", ""),
+                          ("layout", ""), ("params", ""), ("calib", "")]},
+    ("layout", ("number", 4, b"9" * 23)): (1, "error: {file}: bad layout: tag ids must fit"),
+    ("layout", ("number", 2, b"1e308")): (1, "error: correspondence coordinates must be finite"),
+    ("sweep", ("number", 4, b"1e308")): (2, "numerical failure: wrench axis 2: "),
+    ("camera", ("number", 2, b"1e308")): (1, "error: correspondence coordinates must be finite"),
+}
+
+
+@pytest.mark.parametrize("kind, mutation", list(_TRIGGERS),
+                         ids=[f"{kind}-{op}-{value!r}" for kind, (op, _, value) in _TRIGGERS])
+def test_mutation_triggers_exit_with_one_line(tmp_path, capsys, input_files, kind, mutation):
+    rc, err, path = _run_mutated(tmp_path, capsys, input_files, kind, mutation)
+    expected_rc, prefix = _TRIGGERS[kind, mutation]
+    assert rc == expected_rc
+    assert err.startswith(prefix.format(file=path)) and err.count("\n") == 1, err
+
+
+def _pin_triggers(test):
+    for kind, mutation in _TRIGGERS:
+        test = example(kind=kind, mutation=mutation)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["frames", "poses", "sweep", "camera", "layout", "params", "calib"]),
+       mutation=_MUTATIONS)
+@_pin_triggers
+def test_mutated_input_files_end_in_a_documented_exit(tmp_path, capsys, input_files, kind,
+                                                      mutation):
+    # Every mutation of a valid input ends in 0, or in 1, 2 or 3 with one
+    # line on stderr: never a traceback, never a warning.
+    rc, err, _ = _run_mutated(tmp_path, capsys, input_files, kind, mutation)
+    assert rc in (0, 1, 2, 3)
+    assert (err == "") if rc == 0 else (err.endswith("\n") and err.count("\n") == 1), err
+

@@ -104,6 +104,15 @@ def test_duplicate_ids_rejected():
         TagLayout(tags=(TagPlacement(0, (0.0, 0.0), 0.0), TagPlacement(0, (10.0, 0.0), 0.0)))
 
 
+@pytest.mark.parametrize("tag_id", [2**63, -2**63 - 1, 10**22])
+def test_tag_ids_outside_int64_rejected(tag_id):
+    # Every CorrespondenceSet holds tag ids as int64.
+    with pytest.raises(ValidationFailure, match="int64"):
+        TagLayout(tags=(TagPlacement(0, (0.0, 0.0), 0.0), TagPlacement(tag_id, (10.0, 0.0), 0.0)))
+    TagLayout(tags=(TagPlacement(2**63 - 1, (0.0, 0.0), 0.0),
+                    TagPlacement(-2**63, (10.0, 0.0), 0.0)))
+
+
 def test_overlap_rejected_names_pair():
     with pytest.raises(LayoutOverlap, match="tags 3 and 4"):
         TagLayout(tags=(
