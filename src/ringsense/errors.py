@@ -76,7 +76,7 @@ class LayoutOverlap(ValidationFailure):
 
 # pose estimation
 class DegenerateConfiguration(NumericalFailure):
-    """Reference points are collinear or too few for a pose solve."""
+    """Reference points are too few, collinear or not coplanar for a pose solve."""
 
 
 class BehindCamera(NumericalFailure):

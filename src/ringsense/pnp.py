@@ -4,13 +4,14 @@ The pose ``T`` (plate frame -> camera frame) is the minimizer of the summed
 squared reprojection error over all visible corners. It is computed in two
 stages:
 
-  1. A closed-form initialization in the style of EPnP: reference points are
-     written as barycentric combinations of control points (3 control points
-     for the planar case, which the tag plate always is; 4 otherwise), the
-     camera-frame control points are recovered from the null space of the
-     2n x 3k projection system, scale is fixed by matching inter-control-point
-     distances, sign by positive-depth voting, and the rotation is recovered
-     by orthogonal Procrustes.
+  1. A closed-form initialization in the style of EPnP (Lepetit,
+     Moreno-Noguer & Fua, IJCV 2009), in its planar form: the reference
+     points must be coplanar, as every corner of the tag plate is, and are
+     written as barycentric combinations of 3 control points in their
+     plane; the camera-frame control points are recovered from the null
+     space of the 2n x 9 projection system, scale is fixed by matching
+     inter-control-point distances, sign by positive-depth voting, and the
+     rotation is recovered by orthogonal Procrustes.
   2. Levenberg-Marquardt refinement of the reprojection cost. The rotation is
      updated on the manifold: each accepted step composes a 3-parameter
      exponential-map increment onto the left of the current rotation, which
@@ -87,9 +88,8 @@ from .errors import (
 from .geometry import PinholeCamera, RigidTransform, _pinhole, _proper_transform
 
 _PLANAR_TOL = 1e-7
-# EPnP control-point pairs i < j, as (first, second) index arrays, for k = 3
-# and k = 4 control points.
-_CONTROL_PAIRS = {k: np.triu_indices(k, 1) for k in (3, 4)}
+# EPnP control-point pairs i < j, as (first, second) index arrays.
+_CONTROL_PAIRS = np.triu_indices(3, 1)
 # Frames solved together: bounds the stacked arrays, and so the memory, of one chunk.
 CHUNK_FRAMES = 64
 # Levenberg-Marquardt settings; they converge well below the noise floor on
@@ -310,13 +310,16 @@ def jacobian_reprojection(
 
 def _chunks(frames: Sequence[CorrespondenceSet]):
     """Frame indices grouped by corner count, in chunks of at most
-    ``CHUNK_FRAMES``; input order is kept within a chunk."""
+    ``CHUNK_FRAMES``, each with its frames' stacked ``ref`` (B, n, 3) and
+    ``img`` (B, n, 2); input order is kept within a chunk."""
     groups: dict[int, list[int]] = {}
     for i, corrs in enumerate(frames):
         groups.setdefault(len(corrs), []).append(i)
     for indices in groups.values():
         for start in range(0, len(indices), CHUNK_FRAMES):
-            yield indices[start:start + CHUNK_FRAMES]
+            idx = indices[start:start + CHUNK_FRAMES]
+            yield (idx, np.stack([frames[i].ref for i in idx]),
+                   np.stack([frames[i].img for i in idx]))
 
 
 def _estimate(rotation, translation, cost, n, iterations, converged, trace) -> PoseEstimate:
@@ -476,19 +479,17 @@ def refine_lm(
     if len(frames) != len(inits):
         raise ValidationFailure(f"{len(frames)} frames but {len(inits)} initial poses")
     out: list[PoseEstimate | None] = [None] * len(frames)
-    for idx in _chunks(frames):
+    for idx, ref, img in _chunks(frames):
         found = None
         if len(idx) > 1:
             try:
                 found = _refine_chunk(
-                    camera, np.stack([frames[i].ref for i in idx]),
-                    np.stack([frames[i].img for i in idx]),
-                    np.stack([inits[i].rotation for i in idx]),
+                    camera, ref, img, np.stack([inits[i].rotation for i in idx]),
                     np.stack([inits[i].translation for i in idx]))
             except np.linalg.LinAlgError:
                 pass  # a singular damped system: the per-frame loop raises the damping instead
         if found is None:
-            found = [_refine_frame(camera, frames[i].ref, frames[i].img, inits[i]) for i in idx]
+            found = [_refine_frame(camera, r, m, inits[i]) for i, r, m in zip(idx, ref, img)]
         for i, estimate in zip(idx, found):
             out[i] = estimate
     return out
@@ -497,11 +498,9 @@ def refine_lm(
 @functools.lru_cache(maxsize=1)
 def _epnp_reference(data: bytes, shape: tuple[int, ...]):
     """The reference-side EPnP terms of a (B, n, 3) stack of plate-frame
-    points, given as its float64 bytes and shape: the per-frame planarity
-    flags (B,), then, unless the stack mixes planar and non-planar frames
-    (None then), the centroids (B, 3), centered points (B, n, 3),
-    barycentric coordinates (B, n, k) and distances between the k control
-    points (B, k(k-1)/2), all read-only.
+    points, given as its float64 bytes and shape: the centroids (B, 3),
+    centered points (B, n, 3), barycentric coordinates (B, n, 3) and
+    distances between the 3 control points (B, 3), all read-only.
 
     They depend on the reference points alone, which are the same corner
     table in every unoccluded frame, so the last stack's terms are kept: a
@@ -515,58 +514,45 @@ def _epnp_reference(data: bytes, shape: tuple[int, ...]):
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     if np.any(s[:, 1] <= 1e-9 * np.maximum(s[:, 0], 1e-300)):
         raise DegenerateConfiguration("reference points are collinear")
-    planar = s[:, 2] <= _PLANAR_TOL * s[:, 0]
-    planar.setflags(write=False)
-    if not planar.all() and planar.any():
-        return planar, None
+    if np.any(s[:, 2] > _PLANAR_TOL * s[:, 0]):
+        raise DegenerateConfiguration("reference points are not coplanar")
 
-    # Control points: the centroid plus one point along each principal axis,
-    # two for planar frames and three otherwise. The axes are orthonormal, so
-    # the barycentric coordinates are projections onto them.
-    k = 3 if planar[0] else 4
-    scale = s[:, :k - 1] / math.sqrt(n)
-    axes = vt[:, :k - 1]  # (B, k - 1, 3)
+    # Control points: the centroid plus one point along each of the two
+    # in-plane principal axes. The axes are orthonormal, so the barycentric
+    # coordinates are projections onto them.
+    scale = s[:, :2] / math.sqrt(n)
+    axes = vt[:, :2]  # (B, 2, 3)
     ctrl_world = np.concatenate([centroid[:, None], centroid[:, None] + scale[..., None] * axes],
-                                axis=1)  # (B, k, 3)
-    coords = (centered @ axes.swapaxes(1, 2)) / scale[:, None]  # (B, n, k - 1)
+                                axis=1)  # (B, 3, 3)
+    coords = (centered @ axes.swapaxes(1, 2)) / scale[:, None]  # (B, n, 2)
     alphas = np.concatenate([1.0 - coords.sum(axis=2, keepdims=True), coords], axis=2)
-    first, second = _CONTROL_PAIRS[k]
+    first, second = _CONTROL_PAIRS
     dw = np.linalg.norm(ctrl_world[:, first] - ctrl_world[:, second], axis=2)
     terms = (centroid, centered, alphas, dw)
     for a in terms:
         a.setflags(write=False)
-    return planar, terms
+    return terms
 
 
 def _epnp_chunk(camera, ref, img) -> list[RigidTransform]:
     """Closed-form pose of B frames at once, ref (B, n, 3) and img (B, n, 2),
-    in input order. Planar frames get 3 control points and the others 4; a
-    chunk holding both kinds is solved as two sub-chunks."""
+    in input order."""
     b, n = ref.shape[:2]
     if n < 4:
         raise DegenerateConfiguration(f"need at least 4 points, got {n}")
-    planar, terms = _epnp_reference(ref.tobytes(), ref.shape)
-    if terms is None:
-        out: list[RigidTransform | None] = [None] * b
-        for rows in (planar, ~planar):
-            for i, pose in zip(np.flatnonzero(rows).tolist(),
-                               _epnp_chunk(camera, ref[rows], img[rows])):
-                out[i] = pose
-        return out
-    centroid, centered, alphas, dw = terms
-    k = alphas.shape[2]
+    centroid, centered, alphas, dw = _epnp_reference(ref.tobytes(), ref.shape)
 
-    m = np.zeros((b, n, 2, 3 * k))
+    m = np.zeros((b, n, 2, 9))
     m[:, :, 0, 0::3] = alphas * camera.fx
     m[:, :, 0, 2::3] = alphas * (camera.cx - img[..., 0:1])
     m[:, :, 1, 1::3] = alphas * camera.fy
     m[:, :, 1, 2::3] = alphas * (camera.cy - img[..., 1:2])
-    m = m.reshape(b, 2 * n, 3 * k)
+    m = m.reshape(b, 2 * n, 9)
     _, vecs = np.linalg.eigh(m.swapaxes(1, 2) @ m)
-    ctrl_cam = vecs[:, :, 0].reshape(b, k, 3)
+    ctrl_cam = vecs[:, :, 0].reshape(b, 3, 3)
 
     # Fix scale by least-squares matching of inter-control-point distances.
-    first, second = _CONTROL_PAIRS[k]
+    first, second = _CONTROL_PAIRS
     dc = np.linalg.norm(ctrl_cam[:, first] - ctrl_cam[:, second], axis=2)
     den = (dc * dc).sum(axis=1)
     if np.any(den <= 0):
@@ -596,25 +582,25 @@ def epnp_initialize(
 ) -> list[RigidTransform]:
     """Closed-form pose estimate of each frame, in input order.
 
-    Handles the planar case (always true for the tag plate) with three
-    control points and a 9x9 null-space system; non-planar input uses four
-    control points and the 12x12 system. Frames of equal corner count are
-    solved together in chunks of up to ``CHUNK_FRAMES``, a chunk of one
-    frame included.
+    Every frame's reference points must be coplanar, as the tag plate's
+    corners are; they are solved with three control points in that plane
+    and a 9x9 null-space system. Frames of equal corner count are solved
+    together in chunks of up to ``CHUNK_FRAMES``, a chunk of one frame
+    included.
 
     Raises:
-        DegenerateConfiguration: fewer than 4 points, collinear points, or
-        coordinates so extreme that a decomposition does not converge.
+        DegenerateConfiguration: fewer than 4 points, collinear or
+        non-coplanar points, or coordinates so extreme that a decomposition
+        does not converge.
         BehindCamera: no sign choice places the points at positive depth.
     """
     out: list[RigidTransform | None] = [None] * len(frames)
-    for idx in _chunks(frames):
+    for idx, ref, img in _chunks(frames):
         try:
             # Extreme but finite coordinates overflow on the way to the
             # decompositions; the failure is reported once, as the error.
             with np.errstate(over="ignore", invalid="ignore"):
-                poses = _epnp_chunk(camera, np.stack([frames[i].ref for i in idx]),
-                                    np.stack([frames[i].img for i in idx]))
+                poses = _epnp_chunk(camera, ref, img)
         except np.linalg.LinAlgError as exc:
             raise DegenerateConfiguration(f"EPnP failed: {exc}") from None
         for i, pose in zip(idx, poses):

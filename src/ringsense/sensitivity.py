@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationReport
-from .errors import NonlinearModel, ValidationFailure, check_keys, read_number
+from .errors import NonlinearModel, NumericalFailure, ValidationFailure, check_keys, read_number
 from .geometry import DeformationVector
 from .simulator import Wrench
 
@@ -39,6 +39,10 @@ class DetectionParams:
     w_tag / w_img: physical (mm) and observed (px) tag width.
     r: half-diagonal of the tag image patch (px).
     theta_ref: reference rotation angle (rad), in (0, pi).
+
+    The pose floor they give must be usable downstream: the translation
+    floor positive and finite, and the rotation floor positive and below
+    pi/2, the bound of the Euler operating regime.
     """
 
     d_r: float = 0.25
@@ -52,6 +56,11 @@ class DetectionParams:
             raise ValidationFailure("detection parameters must be finite and strictly positive")
         if not 0 < self.theta_ref < math.pi:
             raise ValidationFailure("theta_ref must lie in (0, pi)")
+        dl, dth = min_translation(self), min_rotation(self)
+        if not 0 < dl < math.inf:
+            raise ValidationFailure(f"translation floor must be positive and finite, got {dl} mm")
+        if not 0 < dth < math.pi / 2:
+            raise ValidationFailure(f"rotation floor must lie in (0, pi/2) rad, got {dth}")
 
     def to_dict(self) -> dict:
         return {key: getattr(self, name) for key, name in _FILE_KEYS.items()}
@@ -112,6 +121,8 @@ def propagate_wrench_floor(floor: DeformationVector, calibration: CalibrationRep
 
     Raises:
         NonlinearModel: if any axis model is not degree 1.
+        NumericalFailure: a component is not finite, as when a slope near
+        1e308 overflows.
     """
     floor_values = floor.as_array()
     out = np.zeros(6)
@@ -121,7 +132,9 @@ def propagate_wrench_floor(floor: DeformationVector, calibration: CalibrationRep
             raise NonlinearModel(
                 f"axis {axis} model has degree {model.degree}; propagation needs degree 1"
             )
-        out[axis] = abs(model.slope) * floor_values[model.input_component]
+        out[axis] = abs(float(model.slope)) * float(floor_values[model.input_component])
+        if not math.isfinite(out[axis]):
+            raise NumericalFailure(f"wrench axis {axis}: |slope| x pose floor is not finite")
     return Wrench.from_array(out)
 
 

@@ -269,6 +269,42 @@ def test_extreme_finite_coordinates_are_numerical_failure(tmp_path, capsys, fram
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("params, expected", [
+    ({"d_r": 1e308}, "error: {file}: bad detection params: rotation floor must lie in "
+                     "(0, pi/2) rad, got 5.42"),
+    ({"w_img_px": 1e-308}, "error: {file}: bad detection params: translation floor must be "
+                           "positive and finite, got inf mm"),
+    ({"w_tag_mm": 1e308}, "numerical failure: wrench axis 0: |slope| x pose floor is not "
+                          "finite"),
+], ids=["d_r_1e308", "w_img_px_1e-308", "w_tag_mm_1e308"])
+def test_params_pose_floor_errors_name_their_source(tmp_path, capsys, pipeline_dir, params,
+                                                     expected):
+    # Each params file passes the per-field checks; its pose floor does not
+    # fit the Euler regime, overflows, or overflows a wrench axis.
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    rc = main(["sensitivity", "--params", str(path), "--calib", str(pipeline_dir / "calib.json"),
+               "--out", str(tmp_path / "sens.json"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == (2 if expected.startswith("numerical") else 1)
+    assert err.startswith(expected.format(file=path)) and err.count("\n") == 1, err
+
+
+def test_non_coplanar_frame_is_numerical_failure(tmp_path, capsys, pipeline_dir):
+    # The third row has 8 of its corners lifted 1 mm off the plate plane,
+    # pixels unchanged: EPnP rejects it rather than solving it.
+    rows = read_jsonl(pipeline_dir / "frames.jsonl")[:5]
+    for entry in rows[2]["entries"][:8]:
+        entry["ref_mm"][2] += 1.0
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    rc = main(["estimate", "--frames", str(frames),
+               "--out", str(tmp_path / "poses.jsonl"), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: reference points are not coplanar\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--samples-per-axis", "-1"],
     ["pipeline", "--samples-per-axis", "-1"],

@@ -137,31 +137,29 @@ def test_epnp_handles_tilted_plane(camera, layout):
     assert rotation_angle(est.pose.rotation.T @ expected_rotation) < 1e-8
 
 
-def test_epnp_non_planar_points(camera, layout):
-    # Cube corners exercise the 4-control-point branch. A chunk that mixes
-    # them with 2-tag plate frames of the same corner count (8) is split into
-    # planar and non-planar sub-chunks; poses come back in input order.
+def test_epnp_rejects_non_coplanar_points(camera, layout):
+    # Cube corners are not coplanar: rejected alone and in a chunk of
+    # 8-corner frames that mixes them with 2-tag plate frames. estimate_poses
+    # raises for the first bad frame in input order, after a plate frame;
+    # the collinear frame is checked first within a chunk, so its message
+    # shows which frame raised.
     rng = np.random.default_rng(2)
     pts = np.array([[x, y, z] for x in (-2, 2) for y in (-2, 2) for z in (-2, 2)], float)
+    cams = random_pose(rng).apply(pts)
+    cube = CorrespondenceSet(
+        tag_ids=np.arange(8) // 4, corner_idx=np.arange(8) % 4, ref=pts,
+        img=np.stack([camera.fx * cams[:, 0] / cams[:, 2] + camera.cx,
+                      camera.fy * cams[:, 1] / cams[:, 2] + camera.cy], axis=1))
     two_tags = visible_subset(layout, set(range(2, len(layout))))
-    poses, frames = [], []
-    for i in range(6):
-        pose = random_pose(rng)
-        if i % 2:
-            corrs = project_layout(camera, two_tags, pose)
-        else:
-            cams = pose.apply(pts)
-            uv = np.stack([camera.fx * cams[:, 0] / cams[:, 2] + camera.cx,
-                           camera.fy * cams[:, 1] / cams[:, 2] + camera.cy], axis=1)
-            corrs = CorrespondenceSet(tag_ids=np.arange(8), corner_idx=np.zeros(8), ref=pts,
-                                      img=uv)
-        poses.append(pose)
-        frames.append(corrs)
-    for pose, init in zip(poses, epnp_initialize(camera, frames)):
-        assert np.max(np.abs(init.translation - pose.translation)) < 1e-6
-        assert rotation_angle(init.rotation.T @ pose.rotation) < 1e-8
-    est = estimate_pose(camera, frames[0], allow_single_tag=True)
-    assert np.max(np.abs(est.pose.translation - poses[0].translation)) < 1e-6
+    plates = [project_layout(camera, two_tags, random_pose(rng)) for _ in range(2)]
+    with pytest.raises(DegenerateConfiguration, match="not coplanar"):
+        epnp_initialize(camera, [cube])
+    with pytest.raises(DegenerateConfiguration, match="not coplanar"):
+        epnp_initialize(camera, [plates[0], cube, plates[1]])
+    with pytest.raises(DegenerateConfiguration, match="not coplanar"):
+        estimate_poses(camera, [plates[0], cube, plates[1], collinear_frame()])
+    with pytest.raises(DegenerateConfiguration, match="collinear"):
+        estimate_poses(camera, [plates[0], collinear_frame(), plates[1], cube])
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -201,9 +199,9 @@ def test_reference_memo_is_bit_identical_to_a_cold_solve(camera, layout, seed, s
 
 def test_reference_memo_returns_read_only_arrays(camera, layout, reference_pose):
     ref = np.stack([project_layout(camera, layout, reference_pose).ref] * 2)
-    planar, terms = pnp._epnp_reference(ref.tobytes(), ref.shape)
-    assert planar.tolist() == [True, True]
-    for a in (planar, *terms):
+    terms = pnp._epnp_reference(ref.tobytes(), ref.shape)
+    assert len(terms) == 4
+    for a in terms:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0

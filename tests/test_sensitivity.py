@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ringsense.calibration import AxisModel, CalibrationConfig, CalibrationReport, calibrate
-from ringsense.errors import NonlinearModel, ValidationFailure
+from ringsense.errors import NonlinearModel, NumericalFailure, ValidationFailure
 from ringsense.geometry import DeformationVector
 from ringsense.sensitivity import (
     DetectionParams,
@@ -74,6 +74,13 @@ def test_detection_params_validation():
         DetectionParams(d_r=0.0)
     with pytest.raises(ValidationFailure):
         DetectionParams(theta_ref=math.pi)
+    # Each field is in range, but the pose floor they give is not usable.
+    with pytest.raises(ValidationFailure, match="translation floor .* got inf"):
+        DetectionParams(w_img=1e-308)
+    with pytest.raises(ValidationFailure, match="translation floor .* got 0.0"):
+        DetectionParams(d_r=5e-324)
+    with pytest.raises(ValidationFailure, match="rotation floor"):
+        DetectionParams(d_r=1e308)
 
 
 # ------------------------------------------------------------- pose floor
@@ -110,6 +117,14 @@ def test_propagation_uses_model_input_component():
     wrench = propagate_wrench_floor(pose_floor(params), report).as_array()
     np.testing.assert_allclose(wrench[:3], min_rotation(params), rtol=1e-12)
     np.testing.assert_allclose(wrench[3:], min_translation(params), rtol=1e-12)
+
+
+def test_propagation_overflow_names_the_axis():
+    # A 67.6 mm translation floor times a slope of 1e308 overflows.
+    slopes = np.ones(6)
+    slopes[1] = 1e308
+    with pytest.raises(NumericalFailure, match="wrench axis 1: "):
+        propagate_wrench_floor(pose_floor(DetectionParams(w_tag=1e4)), slope_report(slopes))
 
 
 def test_propagation_rejects_nonlinear_models():
