@@ -1,12 +1,12 @@
 """Command-line entry point wiring all stages into reproducible pipelines.
 
 Subcommands: layout, simulate, estimate, calibrate, sensitivity, monitor,
-pipeline. All randomness flows from a single --seed; per-stage seeds are
-derived by stable hashing of (seed, stage name). Commands that write into
-an output directory leave exactly one manifest.json there; re-running with
-identical arguments reproduces byte-identical numeric outputs. frames.jsonl
-rows are formatted from a per-layout template, byte-identical to
-json.dumps(row, sort_keys=True).
+pipeline. All randomness flows from the --seed of simulate, calibrate and
+pipeline; per-stage seeds are derived by stable hashing of (seed, stage
+name). Commands that write into an output directory leave exactly one
+manifest.json there; re-running with identical arguments reproduces
+byte-identical numeric outputs. frames.jsonl rows are formatted from a
+per-layout template, byte-identical to json.dumps(row, sort_keys=True).
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O failure.
 """
@@ -507,8 +507,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationFailure(message)
 
 
-def _add_common(parser, out_required: bool = True) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+def _add_common(parser, out_required: bool = True, seed: bool = False) -> None:
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--out", required=out_required, help="output path")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -542,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fraction of the deformation limit to sweep")
     p_sim.add_argument("--camera", default=None, help="camera intrinsics JSON")
     p_sim.add_argument("--layout", default=None, help="layout JSON")
-    _add_common(p_sim)
+    _add_common(p_sim, seed=True)
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate plate poses from correspondences")
@@ -559,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--split", type=float, default=0.8)
     p_cal.add_argument("--scatter-csv", default=None,
                        help="also write per-sample truth/prediction rows")
-    _add_common(p_cal)
+    _add_common(p_cal, seed=True)
     p_cal.set_defaults(handler=_cmd_calibrate)
 
     p_sens = sub.add_parser("sensitivity", help="minimum detectable pose and wrench")
@@ -587,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--sigma", type=float, default=0.25)
     p_pipe.add_argument("--span", type=float, default=0.8)
     p_pipe.add_argument("--split", type=float, default=0.8)
-    _add_common(p_pipe)
+    _add_common(p_pipe, seed=True)
     p_pipe.set_defaults(handler=_cmd_pipeline)
 
     return parser

@@ -51,11 +51,6 @@ OBJECT_PRESETS: dict[str, tuple[float, int]] = {
     "seaweed": (0.01, 150),
 }
 
-PHASE_APPROACH = "approach"
-PHASE_STOPPED = "stopped"
-PHASE_LIFTED = "lifted"
-
-
 @dataclass(frozen=True)
 class ContactConfig:
     threshold_mm: float
@@ -112,7 +107,6 @@ def interpolate(traj: ApproachTrajectory, frame: int) -> np.ndarray:
 class ContactEvent:
     frame_index: int
     delta_z_mm: float
-    phase: str
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,6 @@ class EpisodeResult:
     delta_z_mm: tuple[float, ...]
     commands: tuple[tuple[int, tuple[float, ...]], ...]
     skipped_frames: tuple[int, ...]
-    final_phase: str
 
 
 def mean_reference_pose(poses: list[RigidTransform]) -> RigidTransform:
@@ -202,16 +195,14 @@ def run_episode(
             series.append(delta_z)
             consecutive = consecutive + 1 if delta_z >= config.threshold_mm else 0
             if consecutive >= config.debounce_frames:
-                event = ContactEvent(frame_index=frame, delta_z_mm=delta_z, phase=PHASE_STOPPED)
+                event = ContactEvent(frame_index=frame, delta_z_mm=delta_z)
                 break
         joints = interpolate(traj, frame + 1)
         commands.append((frame, tuple(float(j) for j in joints)))
 
-    final_phase = PHASE_LIFTED if event is not None else PHASE_APPROACH
     return EpisodeResult(
         event=event,
         delta_z_mm=tuple(series),
         commands=tuple(commands),
         skipped_frames=tuple(skipped),
-        final_phase=final_phase,
     )

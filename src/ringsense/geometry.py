@@ -192,10 +192,6 @@ class DeformationVector:
             raise ValidationFailure(f"deformation vector must have 6 components, got {v.shape}")
         return cls(*(float(x) for x in v))
 
-    @classmethod
-    def zero(cls) -> "DeformationVector":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class NormalMatrix6:

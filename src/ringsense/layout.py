@@ -12,8 +12,8 @@ are coplanar at z = 0 in the plate reference frame. Tag ids are opaque
 integers; rendering and payload decoding are out of scope.
 
 A :class:`TagLayout` computes its corner table, shape (n_tags, 4, 3), once
-when it is built; :func:`corners_ref` and :func:`all_corners` read that
-table and do no trigonometry and no search over the tags.
+when it is built; :func:`corners_ref` reads one tag's row of that table
+and does no trigonometry and no search over the tags.
 """
 
 from __future__ import annotations
@@ -92,16 +92,12 @@ class TagLayout:
                 j = i + 1 + int(np.argmin(d))
                 raise LayoutOverlap(
                     f"tags {self.tags[i].tag_id} and {self.tags[j].tag_id} are "
-                    f"{np.min(d):.4f} mm apart, within the {bound:.4f} mm footprint bound"
+                    f"{np.min(d):.6g} mm apart, within the {bound:.6g} mm footprint bound"
                 )
 
     @property
     def footprint(self) -> float:
         return self.tag_size + 2.0 * self.border
-
-    @property
-    def tag_ids(self) -> tuple[int, ...]:
-        return tuple(t.tag_id for t in self.tags)
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -180,17 +176,6 @@ def corners_ref(layout: TagLayout, tag_id: int) -> np.ndarray:
     except KeyError:
         raise UnknownTagId(f"tag id {tag_id} not in layout") from None
     return layout._corners[row].copy()
-
-
-def all_corners(layout: TagLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corner table for the whole layout.
-
-    Returns (tag_ids, corner_indices, points) with shapes (4n,), (4n,), (4n, 3),
-    ordered by tag then corner index.
-    """
-    ids = np.repeat([t.tag_id for t in layout.tags], 4)
-    idx = np.tile(np.arange(4), len(layout.tags))
-    return ids, idx, layout._corners.reshape(-1, 3).copy()
 
 
 def _require_two_tags(remaining: int) -> None:

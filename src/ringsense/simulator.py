@@ -163,8 +163,8 @@ def deform(model: ComplianceModel, wrench: Wrench) -> DeformationVector:
     if np.any(np.abs(delta) > model.deformation_limit):
         worst = int(np.argmax(np.abs(delta) - model.deformation_limit))
         raise DeformationLimitExceeded(
-            f"component {worst} deformation {delta[worst]:.4f} exceeds limit "
-            f"{model.deformation_limit[worst]:.4f}"
+            f"component {worst} deformation {delta[worst]:.6g} exceeds limit "
+            f"{model.deformation_limit[worst]:.6g}"
         )
     return DeformationVector.from_array(delta)
 
@@ -227,8 +227,8 @@ def _observe(
     if np.any(outside):
         k = int(np.argmax(outside))
         raise CornerOutOfImage(
-            f"tag {exact.tag_ids[k]} corner {exact.corner_idx[k]} at ({img[k, 0]:.1f}, {img[k, 1]:.1f}) "
-            f"is outside the {camera.image_width:.0f}x{camera.image_height:.0f} image"
+            f"tag {exact.tag_ids[k]} corner {exact.corner_idx[k]} at ({img[k, 0]:.6g}, {img[k, 1]:.6g}) "
+            f"is outside the {camera.image_width:.6g}x{camera.image_height:.6g} image"
         )
     return replace(exact, img=img)
 

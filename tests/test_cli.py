@@ -322,19 +322,32 @@ def test_non_coplanar_frame_is_numerical_failure(tmp_path, capsys, pipeline_dir)
     ["pipeline", "--sigma", "abc"],
     ["estimate"],
     ["frobnicate"],
+    # Only simulate, calibrate and pipeline take --seed.
+    ["layout", "emit", "--seed", "1"],
+    ["estimate", "--frames", "{frames}", "--seed", "1"],
+    ["sensitivity", "--calib", "{calib}", "--seed", "1"],
+    ["monitor", "--object", "chip", "--poses", "{poses}", "--seed", "1"],
+    # Extreme values keep the message to one short line.
+    ["simulate", "--sigma", "1e308", "--samples-per-axis", "5"],
+    ["layout", "emit", "--tag-size", "1e308"],
+    ["layout", "emit", "--border", "1e307"],
 ], ids=["simulate_negative_count", "pipeline_negative_count", "simulate_nan_sigma",
         "pipeline_nan_sigma", "monitor_nan_threshold", "layout_nan_tag_size",
         "layout_nan_ring_radius", "layout_inf_ring_radius", "monitor_nan_start_joints",
         "monitor_inf_target_joints", "calibrate_negative_seed", "pipeline_non_numeric_sigma",
-        "estimate_without_frames", "unknown_subcommand"])
+        "estimate_without_frames", "unknown_subcommand", "layout_seed", "estimate_seed",
+        "sensitivity_seed", "monitor_seed", "simulate_extreme_sigma", "layout_extreme_tag_size",
+        "layout_extreme_border"])
 def test_out_of_range_options_are_validation_errors(tmp_path, capsys, pipeline_dir, argv):
-    argv = [a.format(poses=pipeline_dir / "poses.jsonl", data=pipeline_dir / "sweep_estimated.csv")
+    argv = [a.format(poses=pipeline_dir / "poses.jsonl", data=pipeline_dir / "sweep_estimated.csv",
+                     frames=pipeline_dir / "frames.jsonl", calib=pipeline_dir / "calib.json")
             for a in argv]
     rc = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
     err = capsys.readouterr().err
     assert rc == 1
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--version"], ["estimate", "-h"]])

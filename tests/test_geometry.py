@@ -132,7 +132,7 @@ def test_delta_apply_round_trip():
 def test_apply_zero_delta_is_identity():
     rng = np.random.default_rng(10)
     reference = random_pose(rng)
-    out = apply_delta(reference, DeformationVector.zero())
+    out = apply_delta(reference, DeformationVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     np.testing.assert_allclose(out.rotation, reference.rotation)
     np.testing.assert_allclose(out.translation, reference.translation)
 

@@ -7,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringsense.errors import LayoutOverlap, TooFewTagsVisible, UnknownTagId, ValidationFailure
+from ringsense.geometry import default_camera
 from ringsense.layout import (
     TagLayout,
     TagPlacement,
-    all_corners,
     corners_ref,
     default_layout,
     visible_subset,
 )
+from ringsense.simulator import default_reference_pose, project_layout
 
 
 def test_default_layout_counts(layout):
     assert len(layout) == 35
-    ids, idx, pts = all_corners(layout)
+    pts = np.concatenate([corners_ref(layout, t.tag_id) for t in layout.tags])
     assert pts.shape == (140, 3)
     assert layout.tag_size == 2.0
     assert layout.border == 0.2
@@ -43,8 +44,8 @@ def test_no_footprint_overlap_pairwise_scan(layout):
     assert min_d > bound
 
 
-def test_all_corners_inside_22mm_disc(layout):
-    _, _, pts = all_corners(layout)
+def test_layout_fits_in_22mm_disc(layout):
+    pts = np.concatenate([corners_ref(layout, t.tag_id) for t in layout.tags])
     assert np.all(np.linalg.norm(pts[:, :2], axis=1) <= 11.0)
     assert np.all(pts[:, 2] == 0.0)
 
@@ -134,16 +135,16 @@ def test_visible_subset_empty_mask_unchanged(layout):
 def test_visible_subset_boundary():
     layout = default_layout()
     # 2 remaining tags is the multi-tag solve minimum and stays valid.
-    two_left = visible_subset(layout, set(layout.tag_ids[:33]))
+    two_left = visible_subset(layout, {t.tag_id for t in layout.tags[:33]})
     assert len(two_left) == 2
     with pytest.raises(TooFewTagsVisible):
-        visible_subset(layout, set(layout.tag_ids[:34]))
+        visible_subset(layout, {t.tag_id for t in layout.tags[:34]})
 
 
 def test_visible_subset_masks_central_grid(layout):
     ring = visible_subset(layout, set(range(9)))
     assert len(ring) == 26
-    _, _, pts = all_corners(ring)
+    pts = np.concatenate([corners_ref(ring, t.tag_id) for t in ring.tags])
     assert pts.shape == (104, 3)
 
 
@@ -206,20 +207,11 @@ def test_corner_table_returns_independent_copies(layout):
     tag_id = layout.tags[0].tag_id
     expected = closed_form_corners(layout.tags[0], layout.tag_size)
     corners_ref(layout, tag_id)[:] = 99.0
-    _, _, pts = all_corners(layout)
+    pts = np.concatenate([corners_ref(layout, t.tag_id) for t in layout.tags])
     pts[:] = -99.0
     assert corners_ref(layout, tag_id).tobytes() == expected.tobytes()
-    assert all_corners(layout)[2][:4].tobytes() == expected.tobytes()
-
-
-@settings(max_examples=100, deadline=None)
-@given(layouts())
-def test_all_corners_concatenates_the_per_tag_corners(layout):
-    ids, idx, pts = all_corners(layout)
-    assert ids.tolist() == [t.tag_id for t in layout.tags for _ in range(4)]
-    assert idx.tolist() == [0, 1, 2, 3] * len(layout)
-    expected = np.concatenate([corners_ref(layout, t.tag_id) for t in layout.tags])
-    assert pts.tobytes() == expected.tobytes()
+    table = project_layout(default_camera(), layout, default_reference_pose())
+    assert table.ref[:4].tobytes() == expected.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,7 +14,7 @@ from ringsense.errors import (
     ValidationFailure,
 )
 from ringsense.geometry import RigidTransform, rotation_from_euler_xyz
-from ringsense.layout import all_corners, default_layout, visible_subset
+from ringsense.layout import default_layout, visible_subset
 from ringsense.pnp import (
     CorrespondenceSet,
     epnp_initialize,
@@ -323,13 +323,14 @@ def test_rejected_step_reuses_the_jacobian(camera, layout, monkeypatch):
     assert rejected > 0
 
 
-def test_jacobian_is_built_only_at_positive_depth(camera, layout, monkeypatch):
+def test_jacobian_is_built_only_at_positive_depth(camera, layout, reference_pose, monkeypatch):
     # _jacobian_block does not check depth; LM gives it only the points of
     # poses _residuals found ahead of the camera. Each frame holds the
     # pixels of a plate 0.05 mm behind the camera plane, solved from the
     # same plate 0.05 mm in front of it: on some frames LM tries cheaper
     # poses across the plane, in the per-frame (B = 1) and the batched loop.
-    ids, idx, corners = all_corners(layout)
+    table = project_layout(camera, layout, reference_pose)
+    ids, idx, corners = table.tag_ids, table.corner_idx, table.ref
     depths = []
 
     def jacobian_block(camera, pts_cam, translation):
