@@ -34,6 +34,7 @@ from .calibration import (
 )
 from .contact import (
     CONTROL_INTERVAL_S,
+    OBJECT_PRESETS,
     ApproachTrajectory,
     ContactConfig,
     config_for_object,
@@ -396,8 +397,10 @@ def _sensitivity_payload(params: DetectionParams, report: CalibrationReport) -> 
 def _cmd_sensitivity(args) -> int:
     params = (DetectionParams() if args.params is None
               else _load_json(Path(args.params), DetectionParams.from_dict, "detection params"))
-    report = _load_json(Path(args.calib), CalibrationReport.from_dict, "calibration report")
-    _dump_json(Path(args.out), _sensitivity_payload(params, report))
+    # A report that gives no wrench floor is as bad a file as a malformed one.
+    payload = _load_json(Path(args.calib), lambda data: _sensitivity_payload(
+        params, CalibrationReport.from_dict(data)), "calibration report")
+    _dump_json(Path(args.out), payload)
     _info(args, f"wrote sensitivity analysis to {args.out}")
     return 0
 
@@ -571,8 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mon = sub.add_parser("monitor", help="run contact detection over a pose stream")
     p_mon.add_argument("--object", default=None,
-                       help="preset name (chip, eggshell, cone, cookie, balloon, "
-                            "pencil, paper, paper_cup, grape, seaweed)")
+                       help=f"preset name ({', '.join(OBJECT_PRESETS)})")
     p_mon.add_argument("--threshold", type=float, default=None, help="override threshold (mm)")
     p_mon.add_argument("--frames", dest="frames_count", type=int, default=None,
                        help="override total approach frames")

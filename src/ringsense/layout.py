@@ -120,10 +120,11 @@ class TagLayout:
         tags = []
         for t in data["tags"]:
             check_keys(t, ("id", "center_mm", "yaw_rad"), "layout tag")
+            if len(t["center_mm"]) != 2:
+                raise ValidationFailure("center_mm must hold 2 numbers")
             tags.append(TagPlacement(
                 tag_id=read_integer(t["id"], "id"),
-                center=(read_number(t["center_mm"][0], "center_mm"),
-                        read_number(t["center_mm"][1], "center_mm")),
+                center=tuple(read_number(v, "center_mm") for v in t["center_mm"]),
                 yaw=read_number(t["yaw_rad"], "yaw_rad"),
             ))
         return cls(tags=tuple(tags), tag_size=read_number(data["tag_size_mm"], "tag_size_mm"),

@@ -17,13 +17,13 @@ stages:
      exponential-map increment onto the left of the current rotation, which
      avoids Euler singularities inside the solver.
 
-Both stages take a sequence of frames. Frames with equal corner counts are
-solved together, in chunks of up to ``CHUNK_FRAMES`` stacked into (B, n, ...)
-arrays. EPnP solves every chunk, a chunk of one frame included, with the
-same batched code. LM keeps a per-frame loop for a chunk of one frame,
-where it is faster; that loop is also the reference the batched LM is
-tested against. A batched estimate matches the per-frame one to rounding,
-not bit for bit.
+``estimate_poses`` stacks frames of equal corner count into chunks of up to
+``CHUNK_FRAMES`` (B, n, ...) arrays, once, and runs both stages back to back
+on each chunk; ``estimate_pose`` is ``estimate_poses`` of one frame. EPnP
+solves a chunk of one frame with the same batched code. LM keeps a
+per-frame loop for a chunk of one frame, where it is faster; that loop is
+the reference the batched LM is tested against. A batched estimate matches
+the per-frame one to rounding, not bit for bit.
 
 LM runs with fixed module constants: at most ``_MAX_ITERATIONS`` (50)
 iterations; convergence when an accepted step lowers the cost by a relative
@@ -332,11 +332,9 @@ def _estimate(rotation, translation, cost, n, iterations, converged, trace) -> P
     )
 
 
-def _refine_frame(camera, ref, img, init: RigidTransform) -> PoseEstimate:
-    """Levenberg-Marquardt on one frame; the reference for ``_refine_chunk``."""
-    rotation = init.rotation.copy()
-    translation = init.translation.copy()
-
+def _refine_frame(camera, ref, img, rotation, translation) -> PoseEstimate:
+    """Levenberg-Marquardt on one frame, ref (n, 3) and img (n, 2), from
+    rotation (3, 3) and translation (3,); the reference for ``_refine_chunk``."""
     r, pts, ahead = _residuals(camera, rotation, translation, ref, img)
     if not ahead:
         raise NonPositiveDepth("initial pose places points behind the camera")
@@ -450,49 +448,28 @@ def _refine_chunk(camera, ref, img, rotation, translation) -> list[PoseEstimate]
     return out
 
 
-def refine_lm(
-    camera: PinholeCamera,
-    frames: Sequence[CorrespondenceSet],
-    inits: Sequence[RigidTransform],
-) -> list[PoseEstimate]:
-    """Minimize each frame's reprojection cost from its initial pose by
-    Levenberg-Marquardt; one estimate per frame, in input order.
+def refine_lm(camera: PinholeCamera, ref: np.ndarray, img: np.ndarray,
+              rotation: np.ndarray, translation: np.ndarray) -> list[PoseEstimate]:
+    """Minimize the reprojection cost of each of B frames of equal corner
+    count, ref (B, n, 3) and img (B, n, 2), by Levenberg-Marquardt from its
+    initial pose, rotation (B, 3, 3) and translation (B, 3); one estimate per
+    frame, in input order.
 
-    Accepted costs are non-increasing; convergence is declared when the
-    relative cost decrease drops below ``_COST_TOLERANCE`` (1e-10), the
-    step norm below ``_STEP_TOLERANCE`` (1e-12), or, at the initial pose
-    and after each accepted step, ||J^T r||_inf is at or below
-    ``_GRADIENT_TOLERANCE`` (1e-4 px^2/mm or px^2/rad; see the module
-    docstring for how it scales with corner count and noise).
-    ``iterations_used`` counts the damped solves (accepted and rejected
-    steps), not the gradient tests. Damping starts at
-    ``_INITIAL_DAMPING`` (1e-3) and is scaled by ``_DAMPING_UP`` (10) on a
-    rejected step and ``_DAMPING_DOWN`` (1/3) on an accepted one. Hitting
-    ``_MAX_ITERATIONS`` (50) returns the best pose so far with
-    ``converged=False`` rather than raising. Frames of equal corner count
-    are solved together in chunks of up to ``CHUNK_FRAMES``; a chunk of one
-    frame runs the per-frame loop.
+    The settings and stopping tests are the module docstring's. Accepted
+    costs are non-increasing; hitting ``_MAX_ITERATIONS`` returns the best
+    pose so far with ``converged=False`` rather than raising. B > 1 runs the
+    batched loop; B = 1 runs the per-frame loop, as does a batch whose damped
+    system turns singular.
 
     Raises:
         NonPositiveDepth: an initial pose places points behind the camera.
     """
-    if len(frames) != len(inits):
-        raise ValidationFailure(f"{len(frames)} frames but {len(inits)} initial poses")
-    out: list[PoseEstimate | None] = [None] * len(frames)
-    for idx, ref, img in _chunks(frames):
-        found = None
-        if len(idx) > 1:
-            try:
-                found = _refine_chunk(
-                    camera, ref, img, np.stack([inits[i].rotation for i in idx]),
-                    np.stack([inits[i].translation for i in idx]))
-            except np.linalg.LinAlgError:
-                pass  # a singular damped system: the per-frame loop raises the damping instead
-        if found is None:
-            found = [_refine_frame(camera, r, m, inits[i]) for i, r, m in zip(idx, ref, img)]
-        for i, estimate in zip(idx, found):
-            out[i] = estimate
-    return out
+    if ref.shape[0] > 1:
+        try:
+            return _refine_chunk(camera, ref, img, rotation, translation)
+        except np.linalg.LinAlgError:
+            pass  # a singular damped system: the per-frame loop raises the damping instead
+    return [_refine_frame(camera, *frame) for frame in zip(ref, img, rotation, translation)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -534,9 +511,9 @@ def _epnp_reference(data: bytes, shape: tuple[int, ...]):
     return terms
 
 
-def _epnp_chunk(camera, ref, img) -> list[RigidTransform]:
-    """Closed-form pose of B frames at once, ref (B, n, 3) and img (B, n, 2),
-    in input order."""
+def _epnp_chunk(camera, ref, img):
+    """Closed-form pose of B frames at once, ref (B, n, 3) and img (B, n, 2):
+    rotation (B, 3, 3) and translation (B, 3)."""
     b, n = ref.shape[:2]
     if n < 4:
         raise DegenerateConfiguration(f"need at least 4 points, got {n}")
@@ -573,39 +550,36 @@ def _epnp_chunk(camera, ref, img) -> list[RigidTransform]:
     v, u_t = vvt.swapaxes(1, 2), uu.swapaxes(1, 2)
     v[..., 2] *= np.sign(np.linalg.det(v @ u_t))[:, None]
     rotation = v @ u_t
-    translation = mu_c - (rotation @ centroid[..., None])[..., 0]
-    return [_proper_transform(rot, t) for rot, t in zip(rotation, translation)]
+    return rotation, mu_c - (rotation @ centroid[..., None])[..., 0]
 
 
-def epnp_initialize(
-    camera: PinholeCamera, frames: Sequence[CorrespondenceSet]
-) -> list[RigidTransform]:
-    """Closed-form pose estimate of each frame, in input order.
+def epnp_initialize(camera: PinholeCamera, ref: np.ndarray,
+                    img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form pose of each of B frames of equal corner count, ref
+    (B, n, 3) and img (B, n, 2): rotation (B, 3, 3) and translation (B, 3).
 
     Every frame's reference points must be coplanar, as the tag plate's
     corners are; they are solved with three control points in that plane
-    and a 9x9 null-space system. Frames of equal corner count are solved
-    together in chunks of up to ``CHUNK_FRAMES``, a chunk of one frame
-    included.
+    and a 9x9 null-space system.
 
     Raises:
         DegenerateConfiguration: fewer than 4 points, collinear or
         non-coplanar points, or coordinates so extreme that a decomposition
         does not converge.
         BehindCamera: no sign choice places the points at positive depth.
+        ValidationFailure: the pose is not finite.
     """
-    out: list[RigidTransform | None] = [None] * len(frames)
-    for idx, ref, img in _chunks(frames):
-        try:
-            # Extreme but finite coordinates overflow on the way to the
-            # decompositions; the failure is reported once, as the error.
-            with np.errstate(over="ignore", invalid="ignore"):
-                poses = _epnp_chunk(camera, ref, img)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateConfiguration(f"EPnP failed: {exc}") from None
-        for i, pose in zip(idx, poses):
-            out[i] = pose
-    return out
+    try:
+        # Extreme but finite coordinates overflow on the way to the
+        # decompositions; the failure is reported once, as the error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rotation, translation = _epnp_chunk(camera, ref, img)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateConfiguration(f"EPnP failed: {exc}") from None
+    for name, values in (("rotation", rotation), ("translation", translation)):
+        if not np.isfinite(values).all():
+            raise ValidationFailure(f"{name} must be finite")
+    return rotation, translation
 
 
 def _check_visible(corrs: CorrespondenceSet, allow_single_tag: bool) -> None:
@@ -621,38 +595,35 @@ def _check_visible(corrs: CorrespondenceSet, allow_single_tag: bool) -> None:
         )
 
 
-def estimate_pose(
-    camera: PinholeCamera,
-    corrs: CorrespondenceSet,
-    allow_single_tag: bool = False,
-) -> PoseEstimate:
-    """Full pipeline on one frame: EPnP initialization then LM refinement.
+def estimate_pose(camera: PinholeCamera, corrs: CorrespondenceSet,
+                  allow_single_tag: bool = False) -> PoseEstimate:
+    """``estimate_poses`` of one frame: EPnP initialization then LM
+    refinement.
 
     Standard mode requires at least 2 tags (8 corners); pass
     ``allow_single_tag=True`` for the degraded 1-tag (4-corner) mode, which
     is solvable but jitter-prone.
     """
-    _check_visible(corrs, allow_single_tag)
-    [init] = epnp_initialize(camera, [corrs])
-    [estimate] = refine_lm(camera, [corrs], [init])
+    [estimate] = estimate_poses(camera, [corrs], allow_single_tag)
     return estimate
 
 
-def estimate_poses(
-    camera: PinholeCamera,
-    frames: Sequence[CorrespondenceSet],
-    allow_single_tag: bool = False,
-) -> list[PoseEstimate]:
-    """``estimate_pose`` of every frame, in input order, solved in chunks.
-
-    Raises what ``estimate_pose`` raises for the first frame, in input
-    order, that it rejects.
+def estimate_poses(camera: PinholeCamera, frames: Sequence[CorrespondenceSet],
+                   allow_single_tag: bool = False) -> list[PoseEstimate]:
+    """The pose of every frame, in input order: the tag gate on every frame,
+    then EPnP and LM back to back on each chunk's stacked arrays. Raises the
+    error of the first frame, in input order, that the gate or a solve rejects.
     """
     try:
         for corrs in frames:
             _check_visible(corrs, allow_single_tag)
-        return refine_lm(camera, frames, epnp_initialize(camera, frames))
+        out = {}
+        for idx, ref, img in _chunks(frames):
+            out.update(zip(idx, refine_lm(camera, ref, img, *epnp_initialize(camera, ref, img))))
+        return [out[i] for i in range(len(frames))]
     except RingSenseError:
+        if len(frames) == 1:
+            raise
         # Chunks do not run in input order, and the tag gate runs ahead of
         # every solve: frame by frame, the first bad frame raises.
         return [estimate_pose(camera, corrs, allow_single_tag) for corrs in frames]

@@ -290,6 +290,27 @@ def test_params_pose_floor_errors_name_their_source(tmp_path, capsys, pipeline_d
     assert err.startswith(expected.format(file=path)) and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("degree, expected", [
+    ("3", "axis 0 model has degree 3; propagation needs degree 1"),
+    ("1", "wrench floor components must be positive"),
+], ids=["cubic_models", "zero_slope"])
+def test_report_without_a_wrench_floor_names_its_file(tmp_path, capsys, pipeline_dir, degree,
+                                                      expected):
+    # Each report passes its reader but gives no wrench floor: its models are
+    # cubic, or one linear model has a slope of 0.
+    calib = tmp_path / "calib.json"
+    assert main(["calibrate", "--data", str(pipeline_dir / "sweep.csv"), "--degree", degree,
+                 "--out", str(calib), "--quiet"]) == 0
+    if degree == "1":
+        report = read_json(calib)
+        report["models"][2]["coefficients"][1] = 0.0
+        calib.write_text(json.dumps(report))
+    rc = main(["sensitivity", "--calib", str(calib), "--out", str(tmp_path / "sens.json"),
+               "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {calib}: bad calibration report: {expected}\n"
+
+
 def test_non_coplanar_frame_is_numerical_failure(tmp_path, capsys, pipeline_dir):
     # The third row has 8 of its corners lifted 1 mm off the plate plane,
     # pixels unchanged: EPnP rejects it rather than solving it.
@@ -370,7 +391,8 @@ _CONFIG_FILES = {
 }
 # A value a lax reader takes: a boolean or a numeric string for a number, a
 # fractional number for an integer it truncates, an integer beyond the int64
-# tag ids, a non-finite fit metric. (kind, corruption): (path, value).
+# tag ids, a tag center with a third value, a non-finite fit metric.
+# (kind, corruption): (path, value).
 _BAD_VALUES = {
     ("camera", "boolean"): (["fy"], True),
     ("camera", "numeric_string"): (["cx"], "128"),
@@ -378,6 +400,7 @@ _BAD_VALUES = {
     ("layout", "numeric_string"): (["border_mm"], "0.2"),
     ("layout", "fractional_integer"): (["tags", 34, "id"], 34.9),
     ("layout", "int64_overflow_id"): (["tags", 34, "id"], 99999999999999999999999),
+    ("layout", "three_value_center"): (["tags", 5, "center_mm"], [2.6, 0.0, "x"]),
     ("params", "boolean"): (["d_r"], True),
     ("params", "numeric_string"): (["d_r"], "0.25"),
     ("calib", "boolean"): (["models", 3, "coefficients", 1], True),

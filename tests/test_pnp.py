@@ -50,6 +50,15 @@ def collinear_frame():
         img=np.column_stack([100.0 + 5.0 * i, np.full(8, 90.0)]))
 
 
+def stacked(frames, poses=()):
+    # The stacked ref (B, n, 3) and img (B, n, 2) of frames of one corner
+    # count, then the rotation (B, 3, 3) and translation (B, 3) of any poses.
+    arrays = (np.stack([c.ref for c in frames]), np.stack([c.img for c in frames]))
+    if poses:
+        arrays += (np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses]))
+    return arrays
+
+
 def same_estimate(a, b):
     return (a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
             and a.pose.translation.tobytes() == b.pose.translation.tobytes()
@@ -80,7 +89,7 @@ def test_epnp_noise_free_round_trip(camera, layout):
 
 def test_epnp_collinear_points_degenerate(camera):
     with pytest.raises(DegenerateConfiguration):
-        epnp_initialize(camera, [collinear_frame()])
+        epnp_initialize(camera, *stacked([collinear_frame()]))
 
 
 def test_epnp_too_few_points(camera):
@@ -90,7 +99,7 @@ def test_epnp_too_few_points(camera):
         ref=np.column_stack([i, i % 2, np.zeros(3)]),
         img=np.column_stack([np.full(3, 100.0), 90.0 + i]))
     with pytest.raises(DegenerateConfiguration):
-        epnp_initialize(camera, [corrs])
+        epnp_initialize(camera, *stacked([corrs]))
 
 
 def test_epnp_only_rms_under_noise(camera, layout):
@@ -101,8 +110,8 @@ def test_epnp_only_rms_under_noise(camera, layout):
     for _ in range(500):
         pose = random_pose(rng)
         corrs = jitter(project_layout(camera, layout, pose), 0.25, rng)
-        [init] = epnp_initialize(camera, [corrs])
-        worst = max(worst, reprojection_rms(camera, corrs, init))
+        [rotation], [translation] = epnp_initialize(camera, *stacked([corrs]))
+        worst = max(worst, reprojection_rms(camera, corrs, RigidTransform(rotation, translation)))
     assert worst < 2.0
 
 
@@ -118,7 +127,7 @@ def test_epnp_inconsistent_correspondences_behind_camera(camera):
     corrs = CorrespondenceSet(tag_ids=np.arange(n) // 4, corner_idx=np.arange(n) % 4,
                               ref=ref, img=img)
     with pytest.raises(BehindCamera):
-        epnp_initialize(camera, [corrs])
+        epnp_initialize(camera, *stacked([corrs]))
 
 
 def test_epnp_handles_tilted_plane(camera, layout):
@@ -153,9 +162,9 @@ def test_epnp_rejects_non_coplanar_points(camera, layout):
     two_tags = visible_subset(layout, set(range(2, len(layout))))
     plates = [project_layout(camera, two_tags, random_pose(rng)) for _ in range(2)]
     with pytest.raises(DegenerateConfiguration, match="not coplanar"):
-        epnp_initialize(camera, [cube])
+        epnp_initialize(camera, *stacked([cube]))
     with pytest.raises(DegenerateConfiguration, match="not coplanar"):
-        epnp_initialize(camera, [plates[0], cube, plates[1]])
+        epnp_initialize(camera, *stacked([plates[0], cube, plates[1]]))
     with pytest.raises(DegenerateConfiguration, match="not coplanar"):
         estimate_poses(camera, [plates[0], cube, plates[1], collinear_frame()])
     with pytest.raises(DegenerateConfiguration, match="collinear"):
@@ -213,9 +222,9 @@ def test_degenerate_reference_raises_on_every_call(camera, layout, reference_pos
     pnp._epnp_reference.cache_clear()
     for good_first in (False, False, True):
         if good_first:
-            epnp_initialize(camera, [project_layout(camera, layout, reference_pose)])
+            epnp_initialize(camera, *stacked([project_layout(camera, layout, reference_pose)]))
         with pytest.raises(DegenerateConfiguration, match="collinear"):
-            epnp_initialize(camera, [collinear_frame()])
+            epnp_initialize(camera, *stacked([collinear_frame()]))
 
 
 def test_repeated_corner_table_hits_the_reference_memo(camera, layout, reference_pose):
@@ -234,7 +243,7 @@ def test_repeated_corner_table_hits_the_reference_memo(camera, layout, reference
 
 def test_refine_at_ground_truth_converges_immediately(camera, layout, reference_pose):
     corrs = project_layout(camera, layout, reference_pose)
-    [est] = refine_lm(camera, [corrs], [reference_pose])
+    [est] = refine_lm(camera, *stacked([corrs], [reference_pose]))
     assert est.converged
     assert est.iterations_used <= 2
     assert est.rms_reprojection_error < 1e-9
@@ -249,7 +258,7 @@ def test_refine_recovers_from_perturbed_init(camera, layout):
             pose.rotation @ rotation_from_euler_xyz(0.05, -0.05, 0.05),
             pose.translation + np.array([0.5, -0.5, 0.5]),
         )
-        [est] = refine_lm(camera, [corrs], [init])
+        [est] = refine_lm(camera, *stacked([corrs], [init]))
         assert est.converged
         assert np.max(np.abs(est.pose.translation - pose.translation)) < 1e-7
         assert rotation_angle(est.pose.rotation.T @ pose.rotation) < 1e-9
@@ -292,7 +301,7 @@ def test_refine_reports_non_convergence_instead_of_raising(camera, layout, refer
         reference_pose.rotation @ rotation_from_euler_xyz(0.1, 0.1, 0.1),
         reference_pose.translation + np.array([0.8, -0.8, 0.8]),
     )
-    [est] = refine_lm(camera, [corrs], [far])
+    [est] = refine_lm(camera, *stacked([corrs], [far]))
     assert not est.converged
     assert est.iterations_used == 1
     assert est.cost_trace[-1] <= est.cost_trace[0]
@@ -351,8 +360,8 @@ def test_jacobian_is_built_only_at_positive_depth(camera, layout, reference_pose
         frames.append(CorrespondenceSet(tag_ids=ids, corner_idx=idx, ref=corners, img=img))
         inits.append(RigidTransform(rotation, np.append(xy, 0.05 - z.min())))
     for corrs, init in zip(frames, inits):
-        refine_lm(camera, [corrs], [init])
-    refine_lm(camera, frames, inits)
+        refine_lm(camera, *stacked([corrs], [init]))
+    refine_lm(camera, *stacked(frames, inits))
     assert min(depths) > 0
 
 
@@ -400,13 +409,12 @@ def test_chunk_row_leaving_on_the_gradient_counts_as_per_frame(camera, layout, r
     exact = project_layout(camera, layout, reference_pose)
     frames = [jitter(project_layout(camera, layout, random_pose(rng)), 0.25, rng)
               for _ in range(3)] + [exact]
-    inits = epnp_initialize(camera, frames[:3]) + [reference_pose]
-    batched = pnp._refine_chunk(camera, np.stack([c.ref for c in frames]),
-                                np.stack([c.img for c in frames]),
-                                np.stack([p.rotation for p in inits]),
-                                np.stack([p.translation for p in inits]))
-    for corrs, init, est in zip(frames, inits, batched):
-        ref = pnp._refine_frame(camera, corrs.ref, corrs.img, init)
+    rotation, translation = epnp_initialize(camera, *stacked(frames[:3]))
+    rotation = np.concatenate([rotation, reference_pose.rotation[None]])
+    translation = np.concatenate([translation, reference_pose.translation[None]])
+    batched = pnp._refine_chunk(camera, *stacked(frames), rotation, translation)
+    for corrs, rot, t, est in zip(frames, rotation, translation, batched):
+        ref = pnp._refine_frame(camera, corrs.ref, corrs.img, rot, t)
         assert est.converged and ref.converged
         assert est.iterations_used == ref.iterations_used
         assert len(est.cost_trace) == len(ref.cost_trace)
@@ -421,8 +429,10 @@ def test_singular_batch_falls_back_to_frame_by_frame(camera, layout, monkeypatch
     rng = np.random.default_rng(13)
     frames = [jitter(project_layout(camera, layout, random_pose(rng)), 0.25, rng)
               for _ in range(3)]
-    inits = epnp_initialize(camera, frames)
-    expected = [refine_lm(camera, [corrs], [init])[0] for corrs, init in zip(frames, inits)]
+    ref, img = stacked(frames)
+    rotation, translation = epnp_initialize(camera, ref, img)
+    expected = [refine_lm(camera, *stacked([corrs]), rot[None], t[None])[0]
+                for corrs, rot, t in zip(frames, rotation, translation)]
     solve = np.linalg.solve
 
     def singular_when_stacked(a, b):
@@ -431,13 +441,29 @@ def test_singular_batch_falls_back_to_frame_by_frame(camera, layout, monkeypatch
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", singular_when_stacked)
-    for got, want in zip(refine_lm(camera, frames, inits), expected):
+    for got, want in zip(refine_lm(camera, ref, img, rotation, translation), expected):
         assert np.array_equal(got.pose.rotation, want.pose.rotation)
         assert np.array_equal(got.pose.translation, want.pose.translation)
         assert got.cost_trace == want.cost_trace
 
 
 # ------------------------------------------------------------ estimate_pose
+
+def test_estimate_pose_solves_a_bad_frame_once(camera, monkeypatch):
+    # A one-frame call raises from its only solve: falling back to a
+    # frame-by-frame re-solve would run EPnP on the same frame twice.
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return epnp(*args)
+
+    epnp = pnp.epnp_initialize
+    monkeypatch.setattr(pnp, "epnp_initialize", counted)
+    with pytest.raises(DegenerateConfiguration, match="collinear"):
+        estimate_pose(camera, collinear_frame())
+    assert len(calls) == 1
+
 
 def test_estimate_pose_zero_noise_consistency(camera, layout):
     rng = np.random.default_rng(7)
