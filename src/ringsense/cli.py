@@ -50,6 +50,7 @@ from .errors import (
 from .geometry import (
     EULER_CONVENTION,
     PinholeCamera,
+    RigidTransform,
     default_camera,
     delta_from_poses,
 )
@@ -64,6 +65,7 @@ from .simulator import (
     default_compliance,
     default_reference_pose,
     derive_seed,
+    project_layout,
     sweep_dataset,
 )
 
@@ -97,7 +99,8 @@ _MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError,
               RecursionError, csv.Error, ValidationFailure)
 
 
-def _malformed(path: Path, lineno: int | None, what: str, exc: Exception) -> ValidationFailure:
+def _malformed(path: Path | str, lineno: int | None, what: str,
+               exc: Exception) -> ValidationFailure:
     """The one-line error for ``exc``, raised reading a ``what`` from ``path``;
     it names the file and, for a line-based file, the line ``lineno``."""
     if isinstance(exc, UnicodeDecodeError):
@@ -159,6 +162,21 @@ def _load_layout(path: str | None) -> TagLayout:
     if path is None:
         return default_layout()
     return _load_json(Path(path), TagLayout.from_dict, "layout")
+
+
+def _check_plate_projects(args, camera: PinholeCamera, layout: TagLayout,
+                          reference: RigidTransform) -> None:
+    """Project the plate once at ``reference`` when a camera or layout file
+    is given: a value such a file accepts (an fx or a tag x of 1e308) can
+    still make the projection non-finite, and the error names the file."""
+    given = {what: path for what, path in (("camera", args.camera), ("layout", args.layout))
+             if path is not None}
+    if given:
+        try:
+            project_layout(camera, layout, reference)
+        except ValidationFailure as exc:
+            raise _malformed(" and ".join(given.values()), None, " and ".join(given),
+                             exc) from exc
 
 
 def _frame_lines(numbered_frames):
@@ -309,6 +327,7 @@ def _cmd_simulate(args) -> int:
     layout = _load_layout(args.layout)
     compliance = default_compliance()
     reference = default_reference_pose()
+    _check_plate_projects(args, camera, layout, reference)
     axes = list(range(6)) if args.axis == "all" else [int(args.axis)]
 
     sweep = _run_sweeps(camera, layout, reference, compliance, args.sigma,

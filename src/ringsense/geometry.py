@@ -38,13 +38,15 @@ EULER_CONVENTION = "XYZ-intrinsic"
 
 _ORTHO_TOL = 1e-9
 _ANGLE_LIMIT = math.pi / 2
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 def _frozen_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     a = np.asarray(values, dtype=np.float64)
     if a.shape != shape:
         raise ValidationFailure(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationFailure(f"{name} must be finite")
     a = a.copy()
     a.setflags(write=False)
@@ -61,7 +63,7 @@ class RigidTransform:
     def __post_init__(self) -> None:
         r = _frozen_array(self.rotation, (3, 3), "rotation")
         t = _frozen_array(self.translation, (3,), "translation")
-        if np.linalg.norm(r.T @ r - np.eye(3)) >= _ORTHO_TOL:
+        if np.linalg.norm(r.T @ r - _EYE3) >= _ORTHO_TOL:
             raise ValidationFailure("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) >= _ORTHO_TOL:
             raise ValidationFailure("rotation determinant is not +1 within 1e-9")
@@ -121,6 +123,13 @@ class PinholeCamera:
         if not (0 <= self.cx <= self.image_width < math.inf
                 and 0 <= self.cy <= self.image_height < math.inf):
             raise ValidationFailure("principal point must lie inside the image")
+        # (fx, fy) and (cx, cy) as read-only arrays for ``_pinhole``. They are
+        # not dataclass fields, so ==, hash, repr, to_dict and replace see
+        # only the six intrinsics.
+        for name, pair in (("_focal", (self.fx, self.fy)), ("_center", (self.cx, self.cy))):
+            a = np.array(pair, dtype=np.float64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def contains(self, uv: np.ndarray) -> np.ndarray:
         """Whether pixel(s) ``uv`` of shape (2,) or (n, 2) lie in the image, edges included."""
@@ -173,9 +182,9 @@ class DeformationVector:
 
     def __post_init__(self) -> None:
         values = self.as_array()
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValidationFailure("deformation components must be finite")
-        if np.any(np.abs(values[3:]) >= _ANGLE_LIMIT):
+        if (np.abs(values[3:]) >= _ANGLE_LIMIT).any():
             raise EulerOutOfRange(
                 "euler deltas must satisfy |angle| < pi/2 (operating regime)"
             )
@@ -229,12 +238,10 @@ class NormalMatrix6:
 
 
 def _pinhole(camera: PinholeCamera, pts: np.ndarray) -> np.ndarray:
-    """Pinhole projection of (..., 3) camera-frame points with z > 0 to (..., 2) pixels."""
-    z = pts[..., 2]
-    uv = np.empty(pts.shape[:-1] + (2,))
-    uv[..., 0] = camera.fx * pts[..., 0] / z + camera.cx
-    uv[..., 1] = camera.fy * pts[..., 1] / z + camera.cy
-    return uv
+    """Pinhole projection of (..., 3) camera-frame points with z > 0 to (..., 2) pixels.
+
+    Rounds as ``fx * x / z + cx`` per component: multiply, divide, then add."""
+    return camera._focal * pts[..., :2] / pts[..., 2:] + camera._center
 
 
 def project(camera: PinholeCamera, point_cam: np.ndarray) -> np.ndarray:
@@ -253,7 +260,7 @@ def project_points(camera: PinholeCamera, points_cam: np.ndarray) -> np.ndarray:
         NonPositiveDepth: if any point is at or behind the camera (z <= 0).
     """
     p = np.asarray(points_cam, dtype=np.float64)
-    if (p[:, 2] <= 0).any():
+    if np.count_nonzero(p[:, 2] <= 0):
         raise NonPositiveDepth("all point depths must be positive")
     return _pinhole(camera, p)
 

@@ -136,12 +136,13 @@ class CorrespondenceSet:
                 f"{tag_ids.shape}, {corner_idx.shape}, {ref.shape}, {img.shape}"
             )
         order = np.lexsort((corner_idx, tag_ids))
-        if np.any((np.diff(tag_ids[order]) == 0) & (np.diff(corner_idx[order]) == 0)):
+        t, c = tag_ids[order], corner_idx[order]
+        if ((t[1:] == t[:-1]) & (c[1:] == c[:-1])).any():
             raise ValidationFailure("duplicate (tag_id, corner_index) pair in correspondences")
         bad = (corner_idx < 0) | (corner_idx > 3)
-        if np.any(bad):
+        if bad.any():
             raise ValidationFailure(f"corner_index must be 0..3, got {corner_idx[np.argmax(bad)]}")
-        if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(img))):
+        if not (np.isfinite(ref).all() and np.isfinite(img).all()):
             raise ValidationFailure("correspondence coordinates must be finite")
         for f, a in zip(fields(self), (tag_ids, corner_idx, ref, img)):
             a.setflags(write=False)
@@ -369,12 +370,12 @@ def _refine_frame(camera, ref, img, rotation, translation) -> PoseEstimate:
             trace.append(cost)
             h = None
             lam *= _DAMPING_DOWN
-            if rel_decrease < _COST_TOLERANCE or float(np.linalg.norm(step)) < _STEP_TOLERANCE:
+            if rel_decrease < _COST_TOLERANCE or math.sqrt(step @ step) < _STEP_TOLERANCE:
                 converged = True
                 break
         else:
             lam *= _DAMPING_UP
-            if float(np.linalg.norm(step)) < _STEP_TOLERANCE:
+            if math.sqrt(step @ step) < _STEP_TOLERANCE:
                 converged = True
                 break
 
@@ -504,7 +505,8 @@ def _epnp_reference(data: bytes, shape: tuple[int, ...]):
     coords = (centered @ axes.swapaxes(1, 2)) / scale[:, None]  # (B, n, 2)
     alphas = np.concatenate([1.0 - coords.sum(axis=2, keepdims=True), coords], axis=2)
     first, second = _CONTROL_PAIRS
-    dw = np.linalg.norm(ctrl_world[:, first] - ctrl_world[:, second], axis=2)
+    d = ctrl_world[:, first] - ctrl_world[:, second]
+    dw = np.sqrt((d * d).sum(axis=2))
     terms = (centroid, centered, alphas, dw)
     for a in terms:
         a.setflags(write=False)
@@ -530,7 +532,8 @@ def _epnp_chunk(camera, ref, img):
 
     # Fix scale by least-squares matching of inter-control-point distances.
     first, second = _CONTROL_PAIRS
-    dc = np.linalg.norm(ctrl_cam[:, first] - ctrl_cam[:, second], axis=2)
+    d = ctrl_cam[:, first] - ctrl_cam[:, second]
+    dc = np.sqrt((d * d).sum(axis=2))
     den = (dc * dc).sum(axis=1)
     if np.any(den <= 0):
         raise DegenerateConfiguration("null-space control points collapsed to a point")

@@ -10,8 +10,14 @@ Occlusion is a boolean mask over the layout's tags: only the unmasked
 tags are projected, and no reduced layout is built. Their plate-frame
 corners are rows of the corner table the layout computed once, so a frame
 costs one table lookup per visible tag, one rigid transform of all visible
-corners and one projection per visible tag. A sweep is returned as (B, 6)
-wrench and deformation arrays plus its frames.
+corners and one projection per visible tag.
+
+A sweep works on sweep-level arrays first: the (B, 6) wrenches, then the
+(B, 6) deformations as one product with the compliance and one limit check.
+Each row holds at most one non-zero wrench component, so the product gives
+the bytes :func:`deform` gives that wrench, signed zeros included. Then
+each frame is drawn from its own pose (``apply_delta``) and RNG stream. A
+sweep is returned as the two arrays plus its frames.
 
 The default compliance is diagonal and reverse-engineered so that the
 reference minimum-detectable-pose floor maps exactly onto the reference
@@ -27,7 +33,7 @@ parallel generation with per-task simulators is safe.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,14 +82,6 @@ class Wrench:
         if v.shape != (6,):
             raise ValidationFailure(f"wrench must have 6 components, got {v.shape}")
         return cls(*(float(x) for x in v))
-
-    @classmethod
-    def single_axis(cls, axis: int, magnitude: float) -> "Wrench":
-        if not 0 <= axis <= 5:
-            raise ValidationFailure(f"axis must be 0..5, got {axis}")
-        v = np.zeros(6)
-        v[axis] = magnitude
-        return cls.from_array(v)
 
 
 @dataclass(frozen=True)
@@ -160,13 +158,21 @@ def deform(model: ComplianceModel, wrench: Wrench) -> DeformationVector:
         DeformationLimitExceeded: if any component exceeds its limit.
     """
     delta = model.compliance @ wrench.as_array()
-    if np.any(np.abs(delta) > model.deformation_limit):
+    _check_limits(model, delta[None])
+    return DeformationVector.from_array(delta)
+
+
+def _check_limits(model: ComplianceModel, deltas: np.ndarray) -> None:
+    """Raise DeformationLimitExceeded for the first row of the (B, 6)
+    ``deltas`` with a component over its limit, naming its worst component."""
+    over = (np.abs(deltas) > model.deformation_limit).any(axis=1)
+    if over.any():
+        delta = deltas[int(np.argmax(over))]
         worst = int(np.argmax(np.abs(delta) - model.deformation_limit))
         raise DeformationLimitExceeded(
             f"component {worst} deformation {delta[worst]:.6g} exceeds limit "
             f"{model.deformation_limit[worst]:.6g}"
         )
-    return DeformationVector.from_array(delta)
 
 
 def default_reference_pose() -> RigidTransform:
@@ -187,33 +193,43 @@ def project_layout(
     synthesizer and for closed-form test oracles.
 
     Raises:
+        ValidationFailure: if ``visible`` does not hold one entry per tag.
         CornerOutOfImage: naming the first tag with a corner at or behind
         the camera.
     """
-    tags = layout.tags if visible is None else [t for t, v in zip(layout.tags, visible) if v]
-    ref = np.array([corners_ref(layout, tag.tag_id) for tag in tags]).reshape(-1, 4, 3)
-    cams = ref @ pose.rotation.T + pose.translation
-    behind = (cams[..., 2] <= 0).any(axis=1)
+    if visible is None:
+        tags = layout.tags
+    elif len(visible) != len(layout):
+        raise ValidationFailure(
+            f"visible mask has {len(visible)} entries for a layout of {len(layout)} tags")
+    else:
+        tags = [t for t, v in zip(layout.tags, visible) if v]
+    ids = [t.tag_id for t in tags]
+    # The empty arrays keep a frame without tags stackable.
+    ref = np.concatenate([corners_ref(layout, i) for i in ids] or [np.empty((0, 3))])
+    cams = ref.reshape(-1, 4, 3) @ pose.rotation.T + pose.translation
+    behind = cams[..., 2] <= 0
     if behind.any():
-        tag_id = tags[int(np.argmax(behind))].tag_id
+        tag_id = ids[int(np.argmax(behind.any(axis=1)))]
         raise CornerOutOfImage(f"tag {tag_id} has corners behind the camera")
     # One project_points call per visible tag: the benchmark's traced test
     # asserts that per-frame call count.
-    img = np.array([project_points(camera, tag_cams) for tag_cams in cams]).reshape(-1, 2)
+    img = np.concatenate([project_points(camera, c) for c in cams] or [np.empty((0, 2))])
     return CorrespondenceSet(
-        tag_ids=np.repeat([t.tag_id for t in tags], 4),
-        corner_idx=np.tile(np.arange(4), len(tags)),
-        ref=ref.reshape(-1, 3),
+        tag_ids=np.repeat(ids, 4),
+        corner_idx=np.arange(4 * len(ids)) % 4,
+        ref=ref,
         img=img,
     )
 
 
 def _observe(
-    camera: PinholeCamera, layout: TagLayout, pose: RigidTransform, noise: NoiseModel
+    camera: PinholeCamera, layout: TagLayout, pose: RigidTransform, noise: NoiseModel,
+    rng: np.random.Generator,
 ) -> CorrespondenceSet:
     """The corners of ``layout`` a camera sees with the plate at ``pose``:
-    occlusion mask first, then projection, then pixel noise."""
-    rng = np.random.default_rng(noise.seed)
+    occlusion mask first, then projection, then pixel noise. The mask and
+    the noise are drawn from ``rng``, the frame's own stream."""
     visible = None
     if noise.occlusion_probability > 0:
         visible = rng.random(len(layout)) >= noise.occlusion_probability
@@ -223,14 +239,14 @@ def _observe(
     img = exact.img
     if noise.corner_sigma > 0:
         img = img + rng.normal(0.0, noise.corner_sigma, size=img.shape)
-    outside = ~camera.contains(img)
-    if np.any(outside):
-        k = int(np.argmax(outside))
+    inside = camera.contains(img)
+    if not inside.all():
+        k = int(np.argmin(inside))
         raise CornerOutOfImage(
             f"tag {exact.tag_ids[k]} corner {exact.corner_idx[k]} at ({img[k, 0]:.6g}, {img[k, 1]:.6g}) "
             f"is outside the {camera.image_width:.6g}x{camera.image_height:.6g} image"
         )
-    return replace(exact, img=img)
+    return CorrespondenceSet(exact.tag_ids, exact.corner_idx, exact.ref, img)
 
 
 def synthesize_frame(
@@ -251,7 +267,8 @@ def synthesize_frame(
         DeformationLimitExceeded, TooFewTagsVisible, CornerOutOfImage.
     """
     ground_truth = apply_delta(reference_pose, deform(compliance, wrench))
-    return _observe(camera, layout, ground_truth, noise), ground_truth
+    rng = np.random.default_rng(noise.seed)
+    return _observe(camera, layout, ground_truth, noise, rng), ground_truth
 
 
 def axis_magnitudes(
@@ -281,19 +298,32 @@ def sweep_dataset(
     """Single-axis sweep: one synthesized frame per magnitude, input order.
 
     Returns (wrenches, deformations, frames): the applied wrenches and the
-    true deformations as (B, 6) arrays, and the B observed frames, each
+    true deformations as (B, 6) arrays, and the B observed frames. The
+    deformations are one product with the compliance and one limit check,
+    bit for bit what :func:`deform` gives each wrench; each frame is then
     drawn as :func:`synthesize_frame` draws it. Per-frame seeds derive from
     (noise.seed, stream_offset + index), so repeated magnitudes share ground
     truth but draw distinct noise.
+
+    Raises:
+        ValidationFailure: for an axis outside 0..5 or a non-finite
+        magnitude.
+        DeformationLimitExceeded: for the first magnitude over the limit,
+        with :func:`deform`'s message; before any frame is drawn.
     """
-    count = len(magnitudes)
-    wrenches, deformations = np.zeros((count, 6)), np.zeros((count, 6))
+    if not 0 <= axis <= 5:
+        raise ValidationFailure(f"axis must be 0..5, got {axis}")
+    wrenches = np.zeros((len(magnitudes), 6))
+    wrenches[:, axis] = magnitudes
+    if not np.isfinite(wrenches).all():
+        raise ValidationFailure("wrench components must be finite")
+    # Each row has at most one non-zero wrench component, so every sum of
+    # the product is exact in any order: C @ F per row, signed zeros included.
+    deformations = wrenches @ compliance.compliance.T
+    _check_limits(compliance, deformations)
     frames = []
-    for i, magnitude in enumerate(magnitudes):
-        wrench = Wrench.single_axis(axis, float(magnitude))
-        delta = deform(compliance, wrench)
-        frame_noise = replace(noise, seed=derive_seed(noise.seed, stream_offset + i))
-        frames.append(_observe(camera, layout, apply_delta(reference_pose, delta), frame_noise))
-        wrenches[i] = wrench.as_array()
-        deformations[i] = delta.as_array()
+    for i, delta in enumerate(deformations.tolist()):
+        pose = apply_delta(reference_pose, DeformationVector(*delta))
+        rng = np.random.default_rng(derive_seed(noise.seed, stream_offset + i))
+        frames.append(_observe(camera, layout, pose, noise, rng))
     return wrenches, deformations, frames

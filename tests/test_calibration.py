@@ -34,7 +34,7 @@ def make_samples(n, seed=0, noise=0.0, axes=range(6)):
     for axis in axes:
         limit = model.deformation_limit[axis] / diag[axis]
         for m in np.linspace(-0.7 * limit, 0.7 * limit, n):
-            wrench = Wrench.single_axis(axis, float(m))
+            wrench = Wrench.from_array(np.where(np.arange(6) == axis, m, 0.0))
             delta = deform(model, wrench).as_array()
             if noise:
                 delta = delta + rng.normal(0, noise, 6)

@@ -471,6 +471,21 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
         assert err == f"error: {config}: byte 0xff is not UTF-8\n"
 
 
+def test_camera_and_layout_that_project_off_the_plate_are_both_named(tmp_path, capsys):
+    # An fx and a tag x of 1e308 each pass their file's checks; the
+    # projection at the reference pose fails, and the line names both files.
+    camera, layout = tmp_path / "camera.json", tmp_path / "layout.json"
+    camera.write_text(json.dumps({**default_camera().to_dict(), "fx": 1e308}))
+    payload = default_layout().to_dict()
+    payload["tags"][0]["center_mm"][0] = 1e308
+    layout.write_text(json.dumps(payload))
+    rc = main(["simulate", "--axis", "0", "--samples-per-axis", "1", "--camera", str(camera),
+               "--layout", str(layout), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {camera} and {layout}: bad camera and layout: "
+                                       "correspondence coordinates must be finite\n")
+
+
 def test_written_config_files_load_back(tmp_path, pipeline_dir):
     # Every configuration file the tool writes, and the default camera,
     # passes the readers that reject unknown keys.
@@ -815,9 +830,11 @@ _TRIGGERS = {
        for kind, line in [("frames", " line 1"), ("poses", " line 1"), ("camera", ""),
                           ("layout", ""), ("params", ""), ("calib", "")]},
     ("layout", ("number", 4, b"9" * 23)): (1, "error: {file}: bad layout: tag ids must fit"),
-    ("layout", ("number", 2, b"1e308")): (1, "error: correspondence coordinates must be finite"),
+    ("layout", ("number", 2, b"1e308")): (
+        1, "error: {file}: bad layout: correspondence coordinates must be finite"),
     ("sweep", ("number", 4, b"1e308")): (2, "numerical failure: wrench axis 2: "),
-    ("camera", ("number", 2, b"1e308")): (1, "error: correspondence coordinates must be finite"),
+    ("camera", ("number", 2, b"1e308")): (
+        1, "error: {file}: bad camera: correspondence coordinates must be finite"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ringsense.geometry import (
     project,
     rotation_from_euler_xyz,
 )
+from ringsense.geometry import _pinhole
 
 from conftest import random_pose
 
@@ -67,6 +69,41 @@ def test_project_rejects_non_positive_depth():
         project(CAM, np.array([0.0, 0.0, 0.0]))
     with pytest.raises(NonPositiveDepth):
         project(CAM, np.array([1.0, 1.0, -2.0]))
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (4, 9, 3)])
+def test_pinhole_rounds_as_the_per_component_formula(shape):
+    # fx * x, then / z, then + cx: the broadcast expression keeps that order,
+    # so (n, 3) and (B, n, 3) stacks match the scalar formula bit for bit.
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        w, h = rng.uniform(100, 1000, 2)
+        cam = PinholeCamera(fx=rng.uniform(50, 500), fy=rng.uniform(50, 500),
+                            cx=rng.uniform(0, w), cy=rng.uniform(0, h),
+                            image_width=w, image_height=h)
+        pts = rng.uniform(-5, 5, shape)
+        pts[..., 2] = rng.uniform(0.5, 50, shape[:-1])
+        uv = _pinhole(cam, pts)
+        assert uv.shape == shape[:-1] + (2,)
+        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+        assert uv[..., 0].tobytes() == (cam.fx * x / z + cam.cx).tobytes()
+        assert uv[..., 1].tobytes() == (cam.fy * y / z + cam.cy).tobytes()
+
+
+def test_camera_value_semantics_ignore_the_cached_pairs():
+    cam = PinholeCamera(fx=300.0, fy=310.0, cx=128.0, cy=96.0, image_width=256, image_height=192)
+    twin = PinholeCamera(**cam.to_dict())
+    # Comparing the cached arrays would raise: their truth value is ambiguous.
+    assert cam == twin and hash(cam) == hash(twin)
+    assert cam._focal is not twin._focal
+    assert cam.to_dict() == {"fx": 300.0, "fy": 310.0, "cx": 128.0, "cy": 96.0,
+                             "image_width": 256, "image_height": 192}
+    assert "_focal" not in repr(cam) and "_center" not in repr(cam)
+    moved = replace(cam, fx=150.0, cy=90.0)
+    assert moved != cam
+    assert moved._focal.tolist() == [150.0, 310.0] and moved._center.tolist() == [128.0, 90.0]
+    assert cam._focal.tolist() == [300.0, 310.0] and cam._center.tolist() == [128.0, 96.0]
+    assert not (cam._focal.flags.writeable or cam._center.flags.writeable)
 
 
 def test_default_camera_fov():

@@ -148,7 +148,7 @@ def test_end_to_end_zero_noise_calibration_matches_analytic_floor():
     for axis in range(6):
         limit = compliance.deformation_limit[axis] / diag[axis]
         for m in np.linspace(-0.7 * limit, 0.7 * limit, 40):
-            wrench = Wrench.single_axis(axis, float(m))
+            wrench = Wrench.from_array(np.where(np.arange(6) == axis, m, 0.0))
             x.append(deform(compliance, wrench).as_array())
             y.append(wrench.as_array())
     report = calibrate(np.array(x), np.array(y), CalibrationConfig(seed=21))

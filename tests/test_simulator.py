@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +181,13 @@ def test_synthesize_corner_out_of_image(camera, layout, reference_pose, complian
                          NoiseModel(corner_sigma=0.0, seed=0))
 
 
+@pytest.mark.parametrize("size", [10, 34, 36, 50])
+def test_project_layout_rejects_a_mask_of_the_wrong_length(camera, layout, reference_pose, size):
+    with pytest.raises(ValidationFailure,
+                       match=f"^visible mask has {size} entries for a layout of 35 tags$"):
+        project_layout(camera, layout, reference_pose, np.ones(size, dtype=bool))
+
+
 def _frame_through_visible_subset(camera, layout, reference_pose, wrench, compliance, noise):
     """Reference synthesizer: drop tags by building a reduced layout with
     visible_subset, then project it, with the same RNG draws in the same order."""
@@ -268,13 +276,86 @@ def test_sweep_duplicate_magnitudes_share_truth_distinct_noise(
     assert frames[0] != frames[1]
 
 
+def _coupled(compliance, rho):
+    """``compliance`` with the lateral-force/tilt coupling of a real ring:
+    C[0, 4] = rho * sqrt(C[0, 0] C[4, 4]) and C[1, 3] = -rho * sqrt(C[1, 1] C[3, 3])."""
+    c = compliance.compliance.copy()
+    c[0, 4] = c[4, 0] = rho * np.sqrt(c[0, 0] * c[4, 4])
+    c[1, 3] = c[3, 1] = -rho * np.sqrt(c[1, 1] * c[3, 3])
+    return ComplianceModel(compliance=c, deformation_limit=compliance.deformation_limit)
+
+
+def _per_frame_sweep(axis, magnitudes, camera, layout, reference_pose, compliance, noise,
+                     offset):
+    """What sweep_dataset returns, built one frame at a time through deform
+    and synthesize_frame."""
+    wrenches, deformations, frames = [], [], []
+    for i, m in enumerate(magnitudes):
+        wrench = Wrench.from_array(np.where(np.arange(6) == axis, m, 0.0))
+        frame_noise = replace(noise, seed=derive_seed(noise.seed, offset + i))
+        frames.append(synthesize_frame(camera, layout, reference_pose, wrench, compliance,
+                                       frame_noise)[0])
+        wrenches.append(wrench.as_array())
+        deformations.append(deform(compliance, wrench).as_array())
+    return np.reshape(wrenches, (-1, 6)), np.reshape(deformations, (-1, 6)), frames
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(axis=st.integers(0, 5), rho=st.sampled_from([0.0, 0.5]),
+       pool=st.lists(st.sampled_from([0.0, -0.0, -0.8]) | st.floats(-0.8, 0.8), min_size=1,
+                     max_size=3),
+       picks=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+       over=st.none() | st.tuples(st.integers(0, 6), st.floats(1.01, 3.0), st.booleans()),
+       sigma=st.floats(0.0, 1.0), occlusion=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**63 - 1), offset=st.integers(0, 10**6))
+def test_sweep_matches_per_frame_synthesis_bit_for_bit(camera, layout, reference_pose,
+                                                       compliance, axis, rho, pool, picks, over,
+                                                       sigma, occlusion, seed, offset):
+    # Negative, repeated and signed-zero magnitudes: the batched deformation
+    # product must give deform's bytes, and each frame synthesize_frame's.
+    model = _coupled(compliance, rho)
+    limit = axis_magnitudes(model, axis, 2, span_fraction=1.0)[-1]
+    magnitudes = [pool[i % len(pool)] * limit for i in picks]
+    noise = NoiseModel(corner_sigma=sigma, occlusion_probability=occlusion, seed=seed)
+
+    def sweep():
+        return sweep_dataset(axis, magnitudes, camera, layout, reference_pose, model, noise,
+                             stream_offset=offset)
+
+    if over is not None:
+        position, factor, negative = over
+        magnitude = (-factor if negative else factor) * limit
+        magnitudes.insert(position, magnitude)
+        with pytest.raises(DeformationLimitExceeded) as per_frame:
+            deform(model, Wrench.from_array(np.where(np.arange(6) == axis, magnitude, 0.0)))
+        with pytest.raises(DeformationLimitExceeded, match=f"^{re.escape(str(per_frame.value))}$"):
+            sweep()
+        return
+    try:
+        exp_w, exp_d, exp_frames = _per_frame_sweep(axis, magnitudes, camera, layout,
+                                                    reference_pose, model, noise, offset)
+    except ValidationFailure as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            sweep()
+        return
+    wrenches, deformations, frames = sweep()
+    assert wrenches.tobytes() == exp_w.tobytes()
+    assert deformations.tobytes() == exp_d.tobytes()
+    assert len(frames) == len(exp_frames)
+    for got, exp in zip(frames, exp_frames):
+        for name in ("tag_ids", "corner_idx", "ref", "img"):
+            a, b = getattr(got, name), getattr(exp, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def test_axis_magnitudes_respect_limits(compliance):
     for axis in range(6):
         mags = axis_magnitudes(compliance, axis, 33, span_fraction=1.0)
+        unit = np.arange(6) == axis
         for m in mags:
-            deform(compliance, Wrench.single_axis(axis, m))
+            deform(compliance, Wrench.from_array(np.where(unit, m, 0.0)))
         with pytest.raises(DeformationLimitExceeded):
-            deform(compliance, Wrench.single_axis(axis, mags[-1] * 1.05))
+            deform(compliance, Wrench.from_array(np.where(unit, mags[-1] * 1.05, 0.0)))
 
 
 def test_derive_seed_stable_and_distinct():
