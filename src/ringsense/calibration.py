@@ -13,7 +13,7 @@ pairing under diagonal compliance and adapts under coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -78,16 +78,7 @@ class AxisModel:
         return y
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "input_component": self.input_component,
-            "coefficients": list(self.coefficients),
-            "degree": self.degree,
-            "r2_train": self.r2_train,
-            "rmse_train": self.rmse_train,
-            "r2_test": self.r2_test,
-            "rmse_test": self.rmse_test,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AxisModel":
@@ -130,12 +121,7 @@ class CalibrationReport:
         raise ValidationFailure(f"no model for axis {axis}")
 
     def to_dict(self) -> dict:
-        return {
-            "models": [m.to_dict() for m in self.models],
-            "split_fraction": self.split_fraction,
-            "split_seed": self.split_seed,
-            "sample_count": self.sample_count,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationReport":
@@ -148,13 +134,6 @@ class CalibrationReport:
             split_seed=read_integer(data["split_seed"], "split_seed"),
             sample_count=read_integer(data["sample_count"], "sample_count"),
         )
-
-
-@dataclass(frozen=True)
-class CalibrationConfig:
-    degree: int = 1
-    split_fraction: float = 0.8
-    seed: int = 0
 
 
 def split_indices(n: int, fraction: float = 0.8, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -256,13 +235,15 @@ def evaluate(model: AxisModel, x: np.ndarray, y: np.ndarray) -> tuple[float, flo
     return _r2_rmse(target, model.predict(x[:, model.input_component]), model.axis, "test")
 
 
-def calibrate(x: np.ndarray, y: np.ndarray,
-              config: CalibrationConfig = CalibrationConfig()) -> CalibrationReport:
+def calibrate(x: np.ndarray, y: np.ndarray, *, degree: int = 1, split_fraction: float = 0.8,
+              seed: int = 0) -> CalibrationReport:
     """Split once, then fit and evaluate all six axes on the same partition.
 
-    ``x`` holds the deformations and ``y`` the wrenches, both (n, 6). The six
-    per-axis fits are independent of each other and share only the
-    immutable partition.
+    ``x`` holds the deformations and ``y`` the wrenches, both (n, 6). The
+    split keeps ``split_fraction`` of the samples for training, shuffled by
+    ``seed`` (see :func:`split_indices`); every axis gets a polynomial of
+    ``degree`` 1 or 3. The six per-axis fits are independent of each other
+    and share only the immutable partition.
 
     Raises:
         ValidationFailure: if ``x`` and ``y`` are not both (n, 6).
@@ -277,9 +258,8 @@ def calibrate(x: np.ndarray, y: np.ndarray,
     for axis in range(6):
         if len(y) == 0 or np.ptp(y[:, axis]) == 0.0:
             raise UncoveredAxis(f"wrench axis {axis} ({_AXIS_NAMES[axis]}) has no excitation")
-    train, test = split_indices(len(y), config.split_fraction, config.seed)
-    for name, part, need, use in (("training", train, config.degree + 2,
-                                   f"the degree-{config.degree} fit"),
+    train, test = split_indices(len(y), split_fraction, seed)
+    for name, part, need, use in (("training", train, degree + 2, f"the degree-{degree} fit"),
                                   ("held-out", test, 2, "the evaluation")):
         if len(part) < need:
             raise TooFewSamples(
@@ -297,12 +277,12 @@ def calibrate(x: np.ndarray, y: np.ndarray,
                 )
     models = []
     for axis in range(6):
-        model = fit_axis(x[train], y[train], axis, config.degree)
+        model = fit_axis(x[train], y[train], axis, degree)
         r2_test, rmse_test = evaluate(model, x[test], y[test])
         models.append(replace(model, r2_test=r2_test, rmse_test=rmse_test))
     return CalibrationReport(
         models=tuple(models),
-        split_fraction=config.split_fraction,
-        split_seed=config.seed,
+        split_fraction=split_fraction,
+        split_seed=seed,
         sample_count=len(y),
     )

@@ -26,12 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import (
-    CalibrationConfig,
-    CalibrationReport,
-    calibrate,
-    split_indices,
-)
+from .calibration import CalibrationReport, calibrate, split_indices
 from .contact import (
     CONTROL_INTERVAL_S,
     OBJECT_PRESETS,
@@ -60,13 +55,15 @@ from .layout import TagLayout, default_layout
 from .pnp import CorrespondenceSet, PoseEstimate, estimate_pose, estimate_poses  # noqa: F401
 from .sensitivity import DetectionParams, analyze
 from .simulator import (
+    ComplianceModel,
     NoiseModel,
+    Wrench,
     axis_magnitudes,
     default_compliance,
     default_reference_pose,
     derive_seed,
-    project_layout,
     sweep_dataset,
+    synthesize_frame,
 )
 
 SWEEP_HEADER = [
@@ -137,18 +134,22 @@ def _load_jsonl(path: Path, parse, what: str) -> list:
     return rows
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    input_digests: dict[str, str]) -> None:
+def _write_manifest(out_dir: Path, args, camera: PinholeCamera, layout: TagLayout,
+                    reference: RigidTransform, given: dict[str, str], **config) -> None:
+    """The manifest.json of a sweep command: its config holds the sweep
+    settings of ``args`` and the scene, then the command's own ``config``;
+    it digests each input file ``given`` (by kind)."""
     _dump_json(out_dir / "manifest.json", {
-        "command": command,
-        "config": config,
-        "seed": seed,
+        "command": args.command,
+        "config": {
+            "samples_per_axis": args.samples_per_axis, "sigma": args.sigma, "span": args.span,
+            "camera": camera.to_dict(), "layout_tags": len(layout),
+            "reference_pose": reference.to_dict(), **config,
+        },
+        "seed": args.seed,
         "tool_version": __version__,
-        "input_digests": input_digests,
+        "input_digests": {what: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                          for what, path in given.items()},
     })
 
 
@@ -164,16 +165,16 @@ def _load_layout(path: str | None) -> TagLayout:
     return _load_json(Path(path), TagLayout.from_dict, "layout")
 
 
-def _check_plate_projects(args, camera: PinholeCamera, layout: TagLayout,
-                          reference: RigidTransform) -> None:
-    """Project the plate once at ``reference`` when a camera or layout file
-    is given: a value such a file accepts (an fx or a tag x of 1e308) can
-    still make the projection non-finite, and the error names the file."""
-    given = {what: path for what, path in (("camera", args.camera), ("layout", args.layout))
-             if path is not None}
+def _check_plate_projects(given: dict[str, str], camera: PinholeCamera, layout: TagLayout,
+                          reference: RigidTransform, compliance: ComplianceModel) -> None:
+    """Observe the plate at rest once, without noise, when a camera or layout
+    file is ``given`` (by kind): a value such a file accepts (an fx or a tag
+    x of 1e308) can still make the projection non-finite, or put a corner
+    outside the image, and the error names the file."""
     if given:
         try:
-            project_layout(camera, layout, reference)
+            synthesize_frame(camera, layout, reference, Wrench(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                             compliance, NoiseModel(corner_sigma=0.0))
         except ValidationFailure as exc:
             raise _malformed(" and ".join(given.values()), None, " and ".join(given),
                              exc) from exc
@@ -302,8 +303,7 @@ def _run_sweeps(camera, layout, reference, compliance, noise_sigma, occlusion, s
     frame_axes, magnitudes, wrenches, deformations, frames = [], [], [], [], []
     for axis in axes:
         axis_mags = axis_magnitudes(compliance, axis, samples_per_axis, span)
-        w, d, f = sweep_dataset(axis, axis_mags, camera, layout, reference, compliance, noise,
-                                stream_offset=axis * samples_per_axis)
+        w, d, f = sweep_dataset(axis, axis_mags, camera, layout, reference, compliance, noise)
         frame_axes += [axis] * len(f)
         magnitudes += axis_mags.tolist()
         wrenches.append(w)
@@ -327,22 +327,16 @@ def _cmd_simulate(args) -> int:
     layout = _load_layout(args.layout)
     compliance = default_compliance()
     reference = default_reference_pose()
-    _check_plate_projects(args, camera, layout, reference)
+    given = {what: path for what, path in (("camera", args.camera), ("layout", args.layout))
+             if path is not None}
+    _check_plate_projects(given, camera, layout, reference, compliance)
     axes = list(range(6)) if args.axis == "all" else [int(args.axis)]
 
     sweep = _run_sweeps(camera, layout, reference, compliance, args.sigma,
                         args.occlusion, args.seed, axes, args.samples_per_axis, args.span)
     _write_simulation(out_dir, *sweep)
-    config = {
-        "axis": args.axis, "samples_per_axis": args.samples_per_axis,
-        "sigma": args.sigma, "occlusion": args.occlusion, "span": args.span,
-        "camera": camera.to_dict(), "layout_tags": len(layout),
-        "reference_pose": reference.to_dict(),
-    }
-    digests = {name: _digest(Path(path))
-               for name, path in (("camera", args.camera), ("layout", args.layout))
-               if path is not None}
-    _write_manifest(out_dir, "simulate", config, args.seed, digests)
+    _write_manifest(out_dir, args, camera, layout, reference, given,
+                    axis=args.axis, occlusion=args.occlusion)
     _info(args, f"wrote {len(sweep[-1])} frames to {out_dir}")
     return 0
 
@@ -387,9 +381,7 @@ def _write_scatter_csv(path: Path, x: np.ndarray, y: np.ndarray,
 
 def _cmd_calibrate(args) -> int:
     x, y = _read_sweep_csv(Path(args.data))
-    report = calibrate(x, y, CalibrationConfig(
-        degree=args.degree, split_fraction=args.split, seed=args.seed,
-    ))
+    report = calibrate(x, y, degree=args.degree, split_fraction=args.split, seed=args.seed)
     _dump_json(Path(args.out), report.to_dict())
     if args.scatter_csv:
         _write_scatter_csv(Path(args.scatter_csv), x, y, report)
@@ -496,10 +488,9 @@ def _cmd_pipeline(args) -> int:
     _write_sweep_csv(out_dir / "sweep_estimated.csv", axes, magnitudes, wrenches, deltas)
     _info(args, f"estimated {len(estimates)} poses in {took:.3g} s; {_solver_summary(estimates)}")
 
-    report, took = _stage("calibrate", calibrate, deltas, wrenches, CalibrationConfig(
-        degree=1, split_fraction=args.split,
-        seed=derive_seed(args.seed, "calibrate") % 2**32,
-    ))
+    report, took = _stage("calibrate", calibrate, deltas, wrenches, degree=1,
+                          split_fraction=args.split,
+                          seed=derive_seed(args.seed, "calibrate") % 2**32)
     _dump_json(out_dir / "calib.json", report.to_dict())
     _info(args, f"calibrated in {took:.3g} s; r2_test per axis: " + ", ".join(
         f"{m.axis}:{m.r2_test:.5f}" for m in report.models))
@@ -508,13 +499,7 @@ def _cmd_pipeline(args) -> int:
     _dump_json(out_dir / "sensitivity.json", payload)
     _info(args, f"analyzed sensitivity in {took:.3g} s")
 
-    config = {
-        "samples_per_axis": args.samples_per_axis, "sigma": args.sigma,
-        "span": args.span, "degree": 1, "split": args.split,
-        "camera": camera.to_dict(), "layout_tags": len(layout),
-        "reference_pose": reference.to_dict(),
-    }
-    _write_manifest(out_dir, "pipeline", config, args.seed, {})
+    _write_manifest(out_dir, args, camera, layout, reference, {}, degree=1, split=args.split)
     _info(args, f"wrote pipeline outputs to {out_dir}")
     return 0
 

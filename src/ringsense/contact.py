@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import FrameOutOfRange, StreamEnded, ValidationFailure
+from .errors import EulerOutOfRange, FrameOutOfRange, StreamEnded, ValidationFailure
 from .geometry import (
     DeformationVector,
     RigidTransform,
@@ -144,9 +144,11 @@ def run_episode(
 
     The stream yields one PoseEstimate per frame (None marks a frame whose
     estimation failed; such frames are logged and skipped without resetting
-    the debounce counter). When no ``reference`` is given, the first
-    ``reference_frames`` stream entries are consumed pre-approach and
-    averaged into the no-contact reference.
+    the debounce counter). An approach frame whose rotation relative to the
+    reference leaves the +-pi/2 Euler operating range is skipped the same
+    way, so one bad estimate does not end the episode. When no ``reference``
+    is given, the first ``reference_frames`` stream entries are consumed
+    pre-approach and averaged into the no-contact reference.
 
     Each approach frame f reads the sensor first; if the monitor is still
     approaching, the command interpolate(traj, f + 1) is issued, so an
@@ -187,11 +189,14 @@ def run_episode(
             pose = next(it)
         except StopIteration:
             raise StreamEnded(f"stream ended at approach frame {frame}") from None
-        if pose is None:
+        try:
+            delta_z = None if pose is None else abs(delta_from_poses(reference, pose.pose).dl_z)
+        except EulerOutOfRange:
+            delta_z = None
+        if delta_z is None:
             series.append(float("nan"))
             skipped.append(frame)
         else:
-            delta_z = abs(delta_from_poses(reference, pose.pose).dl_z)
             series.append(delta_z)
             consecutive = consecutive + 1 if delta_z >= config.threshold_mm else 0
             if consecutive >= config.debounce_frames:

@@ -21,7 +21,7 @@ All types are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -138,14 +138,7 @@ class PinholeCamera:
         return (0.0 <= u) & (u <= self.image_width) & (0.0 <= v) & (v <= self.image_height)
 
     def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PinholeCamera":

@@ -145,23 +145,17 @@ def default_layout(
     parameters crowd any pair of footprints.
     """
     tags: list[TagPlacement] = []
-    tag_id = 0
     for gy in (-grid_pitch, 0.0, grid_pitch):
         for gx in (-grid_pitch, 0.0, grid_pitch):
-            tags.append(TagPlacement(tag_id, (gx, gy), 0.0))
-            tag_id += 1
+            tags.append(TagPlacement(len(tags), (gx, gy), 0.0))
     inner_count = _RING_COUNT // 2
     outer_count = _RING_COUNT - inner_count
-    for k in range(inner_count):
-        angle = 2.0 * math.pi * k / inner_count
-        r = ring_radius - ring_spread
-        tags.append(TagPlacement(tag_id, (r * math.cos(angle), r * math.sin(angle)), angle))
-        tag_id += 1
-    for k in range(outer_count):
-        angle = 2.0 * math.pi * k / outer_count + math.pi / outer_count
-        r = ring_radius + ring_spread
-        tags.append(TagPlacement(tag_id, (r * math.cos(angle), r * math.sin(angle)), angle))
-        tag_id += 1
+    # The outer circle is turned half a step so that its tags interleave.
+    for count, r, phase in ((inner_count, ring_radius - ring_spread, 0.0),
+                            (outer_count, ring_radius + ring_spread, math.pi / outer_count)):
+        for k in range(count):
+            angle = 2.0 * math.pi * k / count + phase
+            tags.append(TagPlacement(len(tags), (r * math.cos(angle), r * math.sin(angle)), angle))
     return TagLayout(tags=tuple(tags), tag_size=tag_size, border=border)
 
 

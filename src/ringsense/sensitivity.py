@@ -76,21 +76,24 @@ class DetectionParams:
 
 @dataclass(frozen=True)
 class SensitivityResult:
-    """Scalar minima plus their 6-vector pose and wrench floors."""
+    """The 6-vector pose floor and the wrench floor propagated from it. The
+    scalar minima are its translation and rotation entries, positive by the
+    checks of :class:`DetectionParams`."""
 
-    delta_l_min: float
-    delta_theta_min: float
     pose_floor: DeformationVector
     wrench_floor: Wrench
 
     def __post_init__(self) -> None:
-        if self.delta_l_min <= 0 or self.delta_theta_min <= 0:
-            raise ValidationFailure("sensitivity minima must be positive")
-        floor = self.pose_floor.as_array()
-        if np.any(floor[:3] != self.delta_l_min) or np.any(floor[3:] != self.delta_theta_min):
-            raise ValidationFailure("pose floor must stack the scalar minima per axis group")
         if np.any(self.wrench_floor.as_array() <= 0):
             raise ValidationFailure("wrench floor components must be positive")
+
+    @property
+    def delta_l_min(self) -> float:
+        return self.pose_floor.dl_x
+
+    @property
+    def delta_theta_min(self) -> float:
+        return self.pose_floor.dtheta_x
 
 
 def min_translation(params: DetectionParams) -> float:
@@ -139,11 +142,6 @@ def propagate_wrench_floor(floor: DeformationVector, calibration: CalibrationRep
 
 
 def analyze(params: DetectionParams, calibration: CalibrationReport) -> SensitivityResult:
-    """Full analysis: scalar minima, pose floor, propagated wrench floor."""
+    """Full analysis: the pose floor and the wrench floor propagated from it."""
     floor = pose_floor(params)
-    return SensitivityResult(
-        delta_l_min=min_translation(params),
-        delta_theta_min=min_rotation(params),
-        pose_floor=floor,
-        wrench_floor=propagate_wrench_floor(floor, calibration),
-    )
+    return SensitivityResult(floor, propagate_wrench_floor(floor, calibration))

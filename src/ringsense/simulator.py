@@ -27,7 +27,9 @@ property of any physical ring.
 
 Determinism: every frame derives its RNG from (seed, stream index) by
 stable hashing, so identical inputs yield bit-identical datasets and
-parallel generation with per-task simulators is safe.
+parallel generation with per-task simulators is safe. A sweep numbers its
+streams itself, from its axis and its sample count, so a single-axis sweep
+draws the frames of that axis's block of an all-axes run.
 """
 
 from __future__ import annotations
@@ -293,7 +295,6 @@ def sweep_dataset(
     reference_pose: RigidTransform,
     compliance: ComplianceModel,
     noise: NoiseModel,
-    stream_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, list[CorrespondenceSet]]:
     """Single-axis sweep: one synthesized frame per magnitude, input order.
 
@@ -301,9 +302,10 @@ def sweep_dataset(
     true deformations as (B, 6) arrays, and the B observed frames. The
     deformations are one product with the compliance and one limit check,
     bit for bit what :func:`deform` gives each wrench; each frame is then
-    drawn as :func:`synthesize_frame` draws it. Per-frame seeds derive from
-    (noise.seed, stream_offset + index), so repeated magnitudes share ground
-    truth but draw distinct noise.
+    drawn as :func:`synthesize_frame` draws it. Frame i draws from stream
+    ``axis * B + i`` of ``noise.seed``, B being the number of magnitudes: the
+    sweeps of the six axes at one B draw disjoint streams, and repeated
+    magnitudes share ground truth but draw distinct noise.
 
     Raises:
         ValidationFailure: for an axis outside 0..5 or a non-finite
@@ -322,8 +324,8 @@ def sweep_dataset(
     deformations = wrenches @ compliance.compliance.T
     _check_limits(compliance, deformations)
     frames = []
-    for i, delta in enumerate(deformations.tolist()):
+    for stream, delta in enumerate(deformations.tolist(), axis * len(magnitudes)):
         pose = apply_delta(reference_pose, DeformationVector(*delta))
-        rng = np.random.default_rng(derive_seed(noise.seed, stream_offset + i))
+        rng = np.random.default_rng(derive_seed(noise.seed, stream))
         frames.append(_observe(camera, layout, pose, noise, rng))
     return wrenches, deformations, frames

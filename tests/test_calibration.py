@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ringsense.calibration import (
     AxisModel,
-    CalibrationConfig,
     calibrate,
     evaluate,
     fit_axis,
@@ -189,7 +188,7 @@ def test_overflowing_sums_of_squares_are_numerical_failures():
 # -------------------------------------------------------------- calibrate
 
 def test_calibrate_noiseless_r2():
-    report = calibrate(*make_samples(30), CalibrationConfig(seed=11))
+    report = calibrate(*make_samples(30), seed=11)
     assert report.sample_count == 180
     for model in report.models:
         assert model.r2_test > 0.9999
@@ -200,7 +199,7 @@ def test_calibrate_noisy_r2_and_slopes():
     compliance = default_compliance()
     # Pose-estimate-scale noise on the deformation inputs.
     x, y = make_samples(50, noise=3e-3, seed=4)
-    report = calibrate(x, y, CalibrationConfig(seed=12))
+    report = calibrate(x, y, seed=12)
     for model in report.models:
         assert model.r2_test > 0.95
         true_slope = 1.0 / compliance.compliance[model.axis, model.axis]
@@ -210,7 +209,7 @@ def test_calibrate_noisy_r2_and_slopes():
 def test_calibrate_missing_axis_reports_it():
     x, y = make_samples(40, axes=[0, 1, 2, 3, 5])
     with pytest.raises(UncoveredAxis, match="axis 4"):
-        calibrate(x, y, CalibrationConfig())
+        calibrate(x, y)
 
 
 shapes = st.lists(st.integers(0, 8), max_size=3).map(tuple)
@@ -221,11 +220,11 @@ def test_calibrate_rejects_shapes_other_than_two_n_by_6(x_shape, y_shape):
     if len(x_shape) == 2 and x_shape[1] == 6 and y_shape == x_shape:
         y_shape = (x_shape[0] + 1, 6)
     with pytest.raises(ValidationFailure, match=r"must both be \(n, 6\)"):
-        calibrate(np.zeros(x_shape), np.zeros(y_shape), CalibrationConfig())
+        calibrate(np.zeros(x_shape), np.zeros(y_shape))
 
 
 def test_report_round_trip():
-    report = calibrate(*make_samples(20), CalibrationConfig(seed=13))
+    report = calibrate(*make_samples(20), seed=13)
     from ringsense.calibration import CalibrationReport
 
     again = CalibrationReport.from_dict(report.to_dict())

@@ -89,6 +89,23 @@ def test_simulate_deterministic_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_single_axis_simulate_is_a_block_of_all_axes(tmp_path):
+    # Each sweep numbers its own noise streams, so axis k alone draws the
+    # same occlusion and noise as the axis-k block of an all-axes run.
+    common = ["--samples-per-axis", "6", "--sigma", "0.4", "--occlusion", "0.3", "--seed", "5",
+              "--quiet"]
+    assert main(["simulate", "--out", str(tmp_path / "all"), *common]) == 0
+    all_rows = read_jsonl(tmp_path / "all" / "frames.jsonl")
+    all_csv = (tmp_path / "all" / "sweep.csv").read_text().splitlines()
+    for axis in range(6):
+        out = tmp_path / str(axis)
+        assert main(["simulate", "--axis", str(axis), "--out", str(out), *common]) == 0
+        rows = read_jsonl(out / "frames.jsonl")
+        assert [r["entries"] for r in rows] == [r["entries"] for r in all_rows[6 * axis:][:6]]
+        sweep_csv = (out / "sweep.csv").read_text().splitlines()
+        assert sweep_csv == all_csv[:1] + all_csv[1 + 6 * axis:][:6]
+
+
 def test_estimate_converges_on_simulated_frames(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert main(["simulate", "--axis", "1", "--samples-per-axis", "6",
@@ -157,6 +174,23 @@ def test_monitor_object_preset(pipeline_dir, tmp_path):
     assert data["config"]["threshold_mm"] == 0.01
     assert data["config"]["total_frames"] == 150
     assert data["config"]["control_interval_s"] == 0.02
+
+
+def test_monitor_skips_a_frame_rotated_out_of_range(tmp_path):
+    # Row 8, approach frame 3 after the 5 reference rows, is turned 180 deg
+    # about x: a skipped frame, not the end of the episode.
+    rest = {"rotation": np.eye(3).tolist(), "translation": [0.0, 0.0, 10.0]}
+    flipped = {**rest, "rotation": np.diag([1.0, -1.0, -1.0]).tolist()}
+    poses = tmp_path / "poses.jsonl"
+    poses.write_text("".join(json.dumps({
+        "frame": i, "pose": flipped if i == 8 else rest, "rms_reprojection_error": 0.0,
+        "iterations_used": 1, "converged": True}) + "\n" for i in range(35)))
+    episode = tmp_path / "episode.json"
+    assert main(["monitor", "--object", "chip", "--poses", str(poses), "--out", str(episode),
+                 "--quiet"]) == 0
+    data = read_json(episode)
+    assert data["event"] is None and data["skipped_frames"] == [3]
+    assert [np.isnan(v) for v in data["delta_z_mm"]] == [f == 3 for f in range(30)]
 
 
 def test_pipeline_outputs(pipeline_dir):
@@ -484,6 +518,19 @@ def test_camera_and_layout_that_project_off_the_plate_are_both_named(tmp_path, c
     assert rc == 1
     assert capsys.readouterr().err == (f"error: {camera} and {layout}: bad camera and layout: "
                                        "correspondence coordinates must be finite\n")
+
+
+def test_camera_that_does_not_see_the_plate_at_rest_is_named(tmp_path, capsys):
+    # A 64x48 image at the default field of view holds only the middle of
+    # the plate: the noiseless observation at rest puts tag 0 outside it.
+    camera = tmp_path / "camera.json"
+    camera.write_text(json.dumps({"fx": 73.9, "fy": 73.9, "cx": 32.0, "cy": 24.0,
+                                  "image_width": 64.0, "image_height": 48.0}))
+    rc = main(["simulate", "--axis", "0", "--samples-per-axis", "1", "--camera", str(camera),
+               "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {camera}: bad camera: tag 0 corner 0 at "
+                                       "(5.396, -2.604) is outside the 64x48 image\n")
 
 
 def test_written_config_files_load_back(tmp_path, pipeline_dir):

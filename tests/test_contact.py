@@ -213,6 +213,41 @@ def test_monitor_matches_scan_oracle_with_skipped_frames(debounce, values):
     assert [f for f, _ in result.commands] == list(range(stop))
 
 
+def flipped_at(dz: float) -> PoseEstimate:
+    """Estimate at dz turned 180 deg about x: its rotation relative to
+    REFERENCE is outside the Euler operating range."""
+    pose = RigidTransform(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.0, dz]))
+    return PoseEstimate(pose=pose, rms_reprojection_error=0.0, iterations_used=0,
+                        converged=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    debounce=st.integers(1, 4),
+    values=st.lists(st.one_of(st.none(), st.floats(0.0, 0.1)), min_size=1, max_size=40),
+    flips=st.lists(st.booleans(), min_size=40, max_size=40),
+)
+def test_out_of_range_rotation_is_a_skipped_frame(debounce, values, flips):
+    # A flipped frame (flips[f] and a value) is skipped as a None frame is:
+    # the oracle sees None, and the debounce count neither grows nor resets.
+    threshold = 0.05
+    config = ContactConfig(threshold_mm=threshold, total_frames=len(values),
+                           debounce_frames=debounce)
+    traj = ApproachTrajectory((0.0,), (1.0,), len(values))
+    stream = [None if v is None else flipped_at(v) if flip else pose_at(v)
+              for v, flip in zip(values, flips)]
+    result = run_episode(traj, config, iter(stream), reference=REFERENCE)
+
+    seen = [None if flip else v for v, flip in zip(values, flips)]
+    expected = scan_oracle(seen, threshold, debounce)
+    assert (None if result.event is None else result.event.frame_index) == expected
+    read = seen[:len(seen) if expected is None else expected + 1]
+    assert [math.isnan(v) for v in result.delta_z_mm] == [v is None for v in read]
+    assert result.skipped_frames == tuple(f for f, v in enumerate(read) if v is None)
+    stop = len(values) if expected is None else expected
+    assert [f for f, _ in result.commands] == list(range(stop))
+
+
 def test_stream_ended():
     config = ContactConfig(threshold_mm=0.5, total_frames=10)
     traj = ApproachTrajectory((0.0,), (1.0,), 10)

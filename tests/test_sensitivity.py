@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ringsense.calibration import AxisModel, CalibrationConfig, CalibrationReport, calibrate
+from ringsense.calibration import AxisModel, CalibrationReport, calibrate
 from ringsense.errors import NonlinearModel, NumericalFailure, ValidationFailure
 from ringsense.geometry import DeformationVector
 from ringsense.sensitivity import (
@@ -151,7 +151,7 @@ def test_end_to_end_zero_noise_calibration_matches_analytic_floor():
             wrench = Wrench.from_array(np.where(np.arange(6) == axis, m, 0.0))
             x.append(deform(compliance, wrench).as_array())
             y.append(wrench.as_array())
-    report = calibrate(np.array(x), np.array(y), CalibrationConfig(seed=21))
+    report = calibrate(np.array(x), np.array(y), seed=21)
     result = analyze(DetectionParams(), report)
     analytic = pose_floor(DetectionParams()).as_array() / diag
     np.testing.assert_allclose(result.wrench_floor.as_array(), analytic, rtol=1e-4)

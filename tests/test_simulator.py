@@ -285,14 +285,13 @@ def _coupled(compliance, rho):
     return ComplianceModel(compliance=c, deformation_limit=compliance.deformation_limit)
 
 
-def _per_frame_sweep(axis, magnitudes, camera, layout, reference_pose, compliance, noise,
-                     offset):
+def _per_frame_sweep(axis, magnitudes, camera, layout, reference_pose, compliance, noise):
     """What sweep_dataset returns, built one frame at a time through deform
-    and synthesize_frame."""
+    and synthesize_frame; frame i draws stream axis * len(magnitudes) + i."""
     wrenches, deformations, frames = [], [], []
     for i, m in enumerate(magnitudes):
         wrench = Wrench.from_array(np.where(np.arange(6) == axis, m, 0.0))
-        frame_noise = replace(noise, seed=derive_seed(noise.seed, offset + i))
+        frame_noise = replace(noise, seed=derive_seed(noise.seed, axis * len(magnitudes) + i))
         frames.append(synthesize_frame(camera, layout, reference_pose, wrench, compliance,
                                        frame_noise)[0])
         wrenches.append(wrench.as_array())
@@ -307,10 +306,10 @@ def _per_frame_sweep(axis, magnitudes, camera, layout, reference_pose, complianc
        picks=st.lists(st.integers(0, 2), min_size=1, max_size=6),
        over=st.none() | st.tuples(st.integers(0, 6), st.floats(1.01, 3.0), st.booleans()),
        sigma=st.floats(0.0, 1.0), occlusion=st.floats(0.0, 0.5),
-       seed=st.integers(0, 2**63 - 1), offset=st.integers(0, 10**6))
+       seed=st.integers(0, 2**63 - 1))
 def test_sweep_matches_per_frame_synthesis_bit_for_bit(camera, layout, reference_pose,
                                                        compliance, axis, rho, pool, picks, over,
-                                                       sigma, occlusion, seed, offset):
+                                                       sigma, occlusion, seed):
     # Negative, repeated and signed-zero magnitudes: the batched deformation
     # product must give deform's bytes, and each frame synthesize_frame's.
     model = _coupled(compliance, rho)
@@ -319,8 +318,7 @@ def test_sweep_matches_per_frame_synthesis_bit_for_bit(camera, layout, reference
     noise = NoiseModel(corner_sigma=sigma, occlusion_probability=occlusion, seed=seed)
 
     def sweep():
-        return sweep_dataset(axis, magnitudes, camera, layout, reference_pose, model, noise,
-                             stream_offset=offset)
+        return sweep_dataset(axis, magnitudes, camera, layout, reference_pose, model, noise)
 
     if over is not None:
         position, factor, negative = over
@@ -333,7 +331,7 @@ def test_sweep_matches_per_frame_synthesis_bit_for_bit(camera, layout, reference
         return
     try:
         exp_w, exp_d, exp_frames = _per_frame_sweep(axis, magnitudes, camera, layout,
-                                                    reference_pose, model, noise, offset)
+                                                    reference_pose, model, noise)
     except ValidationFailure as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             sweep()
