@@ -77,12 +77,11 @@ class AxisModel:
             y = y + c * x**k
         return y
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "AxisModel":
-        """Inverse of ``to_dict``; every key is required and an unknown key is an error."""
+        """A model as ``CalibrationReport.to_dict`` writes it. Every key is
+        required, an unknown key is an error, and the test metrics of a saved
+        model are numbers: only ``fit_axis`` makes an unscored model."""
         check_keys(data, [f.name for f in fields(cls)], "axis model")
         return cls(
             axis=read_integer(data["axis"], "axis"),
@@ -91,9 +90,8 @@ class AxisModel:
             degree=read_integer(data["degree"], "degree"),
             r2_train=read_number(data["r2_train"], "r2_train"),
             rmse_train=read_number(data["rmse_train"], "rmse_train"),
-            r2_test=None if data["r2_test"] is None else read_number(data["r2_test"], "r2_test"),
-            rmse_test=(None if data["rmse_test"] is None
-                       else read_number(data["rmse_test"], "rmse_test")),
+            r2_test=read_number(data["r2_test"], "r2_test"),
+            rmse_test=read_number(data["rmse_test"], "rmse_test"),
         )
 
 

@@ -44,6 +44,7 @@ from .errors import (
 )
 from .geometry import (
     EULER_CONVENTION,
+    DeformationVector,
     PinholeCamera,
     RigidTransform,
     default_camera,
@@ -153,16 +154,9 @@ def _write_manifest(out_dir: Path, args, camera: PinholeCamera, layout: TagLayou
     })
 
 
-def _load_camera(path: str | None) -> PinholeCamera:
-    if path is None:
-        return default_camera()
-    return _load_json(Path(path), PinholeCamera.from_dict, "camera")
-
-
-def _load_layout(path: str | None) -> TagLayout:
-    if path is None:
-        return default_layout()
-    return _load_json(Path(path), TagLayout.from_dict, "layout")
+def _load_config(path: str | None, default, parse, what: str):
+    """``parse`` of the JSON ``what`` file at ``path``, or ``default()`` without one."""
+    return default() if path is None else _load_json(Path(path), parse, what)
 
 
 def _check_plate_projects(given: dict[str, str], camera: PinholeCamera, layout: TagLayout,
@@ -243,16 +237,19 @@ def _write_sweep_csv(path: Path, axes, magnitudes, wrenches: np.ndarray,
 
 def _read_sweep_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """(deformations, wrenches) of a sweep CSV as two (n, 6) arrays, each line
-    decoded as strict UTF-8; a bad row names its physical line."""
-    lines, rows = [], []
+    decoded as strict UTF-8 and each row checked by the value types as it is
+    read: the first bad row in file order names its physical line."""
+    rows = []
     with path.open("rb") as fh:
         reader = csv.DictReader(raw.decode("utf-8") for raw in fh)
         try:
             missing = set(SWEEP_HEADER) - set(reader.fieldnames or [])
             if not missing:
                 for row in reader:
-                    rows.append([float(row[k]) for k in SWEEP_HEADER[2:]])
-                    lines.append(reader.line_num)
+                    values = [float(row[k]) for k in SWEEP_HEADER[2:]]
+                    Wrench.from_array(values[:6])
+                    DeformationVector.from_array(values[6:])
+                    rows.append(values)
         except _MALFORMED as exc:
             # The csv reader counts each line it receives before parsing it
             # (DictReader.line_num lags on an error); a line that fails to
@@ -262,12 +259,6 @@ def _read_sweep_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     if missing:
         raise _malformed(path, None, "sweep CSV", ValueError(f"missing columns {sorted(missing)}"))
     values = np.array(rows, dtype=np.float64).reshape(len(rows), 12)
-    for bad, reason in (
-        (~np.isfinite(values).all(axis=1), "values must be finite"),
-        ((np.abs(values[:, 9:]) >= np.pi / 2).any(axis=1), "rotations must satisfy |angle| < pi/2"),
-    ):
-        if bad.any():
-            raise _malformed(path, lines[np.argmax(bad)], "sweep row", ValueError(reason))
     return values[:, 6:], values[:, :6]
 
 
@@ -323,8 +314,8 @@ def _write_simulation(out_dir: Path, axes, magnitudes, wrenches: np.ndarray,
 def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    camera = _load_camera(args.camera)
-    layout = _load_layout(args.layout)
+    camera = _load_config(args.camera, default_camera, PinholeCamera.from_dict, "camera")
+    layout = _load_config(args.layout, default_layout, TagLayout.from_dict, "layout")
     compliance = default_compliance()
     reference = default_reference_pose()
     given = {what: path for what, path in (("camera", args.camera), ("layout", args.layout))
@@ -350,7 +341,7 @@ def _solver_summary(estimates: list[PoseEstimate]) -> str:
 
 
 def _cmd_estimate(args) -> int:
-    camera = _load_camera(args.camera)
+    camera = _load_config(args.camera, default_camera, PinholeCamera.from_dict, "camera")
     frames = _load_jsonl(Path(args.frames), lambda row: (
         read_integer(row["frame"], "frame"), _corrs_from_row(row)), "frame row")
     estimates = estimate_poses(camera, [corrs for _, corrs in frames],
@@ -406,8 +397,8 @@ def _sensitivity_payload(params: DetectionParams, report: CalibrationReport) -> 
 
 
 def _cmd_sensitivity(args) -> int:
-    params = (DetectionParams() if args.params is None
-              else _load_json(Path(args.params), DetectionParams.from_dict, "detection params"))
+    params = _load_config(args.params, DetectionParams, DetectionParams.from_dict,
+                          "detection params")
     # A report that gives no wrench floor is as bad a file as a malformed one.
     payload = _load_json(Path(args.calib), lambda data: _sensitivity_payload(
         params, CalibrationReport.from_dict(data)), "calibration report")
@@ -441,7 +432,11 @@ def _cmd_monitor(args) -> int:
     traj = ApproachTrajectory(start_joints=_joints(args.start_joints, "--start-joints"),
                               target_joints=_joints(args.target_joints, "--target-joints"),
                               total_frames=config.total_frames)
-    result = run_episode(traj, config, iter(poses))
+    # The flags are checked above: what fails here is the poses file.
+    try:
+        result = run_episode(traj, config, iter(poses))
+    except ValidationFailure as exc:
+        raise _malformed(args.poses, None, "pose stream", exc) from exc
     payload = {"object": args.object,
                "config": {**asdict(config), "control_interval_s": CONTROL_INTERVAL_S},
                **asdict(result)}

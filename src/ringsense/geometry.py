@@ -43,6 +43,9 @@ _EYE3.setflags(write=False)
 
 
 def _frozen_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """The one constructor of a validated, read-only float array: a float64
+    copy of ``values``, or ValidationFailure naming ``name`` for a shape other
+    than ``shape`` or a non-finite entry."""
     a = np.asarray(values, dtype=np.float64)
     if a.shape != shape:
         raise ValidationFailure(f"{name} must have shape {shape}, got {a.shape}")
@@ -91,18 +94,14 @@ def _proper_transform(rotation: np.ndarray, translation: np.ndarray) -> RigidTra
     """A RigidTransform whose rotation is proper by construction (an SVD
     polar factor or a Procrustes solution with its determinant fixed).
 
-    Takes float64 arrays of shapes (3, 3) and (3,). Keeps the finiteness
-    check and stores read-only copies, so the pose never aliases the
-    caller's arrays; skips the orthonormality and determinant checks, which
-    such a rotation passes to rounding.
+    Takes float64 arrays of shapes (3, 3) and (3,). Keeps the shape and
+    finiteness checks and stores read-only copies, so the pose never aliases
+    the caller's arrays; skips the orthonormality and determinant checks,
+    which such a rotation passes to rounding.
     """
     pose = object.__new__(RigidTransform)
-    for name, values in (("rotation", rotation), ("translation", translation)):
-        if not np.isfinite(values).all():
-            raise ValidationFailure(f"{name} must be finite")
-        a = values.copy()
-        a.setflags(write=False)
-        object.__setattr__(pose, name, a)
+    object.__setattr__(pose, "rotation", _frozen_array(rotation, (3, 3), "rotation"))
+    object.__setattr__(pose, "translation", _frozen_array(translation, (3,), "translation"))
     return pose
 
 
@@ -126,10 +125,8 @@ class PinholeCamera:
         # (fx, fy) and (cx, cy) as read-only arrays for ``_pinhole``. They are
         # not dataclass fields, so ==, hash, repr, to_dict and replace see
         # only the six intrinsics.
-        for name, pair in (("_focal", (self.fx, self.fy)), ("_center", (self.cx, self.cy))):
-            a = np.array(pair, dtype=np.float64)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "_focal", _frozen_array((self.fx, self.fy), (2,), "focal"))
+        object.__setattr__(self, "_center", _frozen_array((self.cx, self.cy), (2,), "center"))
 
     def contains(self, uv: np.ndarray) -> np.ndarray:
         """Whether pixel(s) ``uv`` of shape (2,) or (n, 2) lie in the image, edges included."""
@@ -174,9 +171,7 @@ class DeformationVector:
     dtheta_z: float
 
     def __post_init__(self) -> None:
-        values = self.as_array()
-        if not np.isfinite(values).all():
-            raise ValidationFailure("deformation components must be finite")
+        values = _frozen_array(self.as_array(), (6,), "deformation components")
         if (np.abs(values[3:]) >= _ANGLE_LIMIT).any():
             raise EulerOutOfRange(
                 "euler deltas must satisfy |angle| < pi/2 (operating regime)"
@@ -189,10 +184,7 @@ class DeformationVector:
 
     @classmethod
     def from_array(cls, values) -> "DeformationVector":
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != (6,):
-            raise ValidationFailure(f"deformation vector must have 6 components, got {v.shape}")
-        return cls(*(float(x) for x in v))
+        return cls(*_frozen_array(values, (6,), "deformation components").tolist())
 
 
 @dataclass(frozen=True)
@@ -310,11 +302,10 @@ def normal_matrix_from_unit_vector(n: np.ndarray) -> NormalMatrix6:
     """Six-entry encoding of M = n n^T; identical for n and -n.
 
     Raises:
+        ValidationFailure: if n is not a finite 3-vector.
         NotUnitVector: if ||n|| differs from 1 by more than 1e-6.
     """
-    v = np.asarray(n, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValidationFailure(f"normal must be a 3-vector, got shape {v.shape}")
+    v = _frozen_array(n, (3,), "normal")
     norm = math.sqrt(float(v[0]) ** 2 + float(v[1]) ** 2 + float(v[2]) ** 2)
     if abs(norm - 1.0) > 1e-6:
         raise NotUnitVector(f"normal must be unit length within 1e-6, got |n|={norm}")

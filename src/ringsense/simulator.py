@@ -48,6 +48,7 @@ from .geometry import (
     DeformationVector,
     PinholeCamera,
     RigidTransform,
+    _frozen_array,
     apply_delta,
     project_points,
 )
@@ -72,18 +73,14 @@ class Wrench:
     tz: float
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.as_array())):
-            raise ValidationFailure("wrench components must be finite")
+        _frozen_array(self.as_array(), (6,), "wrench components")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.fx, self.fy, self.fz, self.tx, self.ty, self.tz])
 
     @classmethod
     def from_array(cls, values) -> "Wrench":
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != (6,):
-            raise ValidationFailure(f"wrench must have 6 components, got {v.shape}")
-        return cls(*(float(x) for x in v))
+        return cls(*_frozen_array(values, (6,), "wrench components").tolist())
 
 
 @dataclass(frozen=True)
@@ -99,20 +96,14 @@ class ComplianceModel:
     deformation_limit: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.compliance, dtype=np.float64)
-        lim = np.asarray(self.deformation_limit, dtype=np.float64)
-        if c.shape != (6, 6):
-            raise ValidationFailure(f"compliance must be 6x6, got {c.shape}")
-        if lim.shape != (6,) or np.any(lim <= 0):
+        c = _frozen_array(self.compliance, (6, 6), "compliance")
+        lim = _frozen_array(self.deformation_limit, (6,), "deformation_limit")
+        if np.any(lim <= 0):
             raise ValidationFailure("deformation_limit must be 6 positive components")
         if np.max(np.abs(c - c.T)) >= 1e-9:
             raise ValidationFailure("compliance must be symmetric within 1e-9")
         if np.min(np.linalg.eigvalsh((c + c.T) / 2.0)) <= 0:
             raise ValidationFailure("compliance must be positive definite")
-        c = c.copy()
-        lim = lim.copy()
-        c.setflags(write=False)
-        lim.setflags(write=False)
         object.__setattr__(self, "compliance", c)
         object.__setattr__(self, "deformation_limit", lim)
 

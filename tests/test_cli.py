@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ringsense.calibration import AxisModel, CalibrationReport
 from ringsense.cli import _read_sweep_csv, _write_sweep_csv, main
 from ringsense.geometry import default_camera
 from ringsense.layout import default_layout
@@ -191,6 +192,28 @@ def test_monitor_skips_a_frame_rotated_out_of_range(tmp_path):
     data = read_json(episode)
     assert data["event"] is None and data["skipped_frames"] == [3]
     assert [np.isnan(v) for v in data["delta_z_mm"]] == [f == 3 for f in range(30)]
+
+
+def _turned_about_x(row):
+    rotation = np.array(row["pose"]["rotation"]) @ np.diag([1.0, -1.0, -1.0])
+    return {**row, "pose": {**row["pose"], "rotation": rotation.tolist()}}
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda rows: rows[:2] + [_turned_about_x(rows[2])] + rows[3:],
+     "relative rotation outside the +-pi/2 operating range"),
+    (lambda rows: rows[:3], "stream ended during reference capture"),
+], ids=["reference_row_rotated", "three_rows"])
+def test_monitor_errors_name_the_poses_file(tmp_path, capsys, pipeline_dir, edit, detail):
+    # Row 3 lies inside the 5-frame reference window; no frame is named,
+    # since the bad row may be the reference anchor.
+    poses = tmp_path / "poses.jsonl"
+    poses.write_text("".join(json.dumps(r) + "\n"
+                             for r in edit(read_jsonl(pipeline_dir / "poses.jsonl"))))
+    rc = main(["monitor", "--threshold", "0.5", "--frames", "12", "--poses", str(poses),
+               "--out", str(tmp_path / "episode.json"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {poses}: bad pose stream: {detail}\n"
 
 
 def test_pipeline_outputs(pipeline_dir):
@@ -425,7 +448,8 @@ _CONFIG_FILES = {
 }
 # A value a lax reader takes: a boolean or a numeric string for a number, a
 # fractional number for an integer it truncates, an integer beyond the int64
-# tag ids, a tag center with a third value, a non-finite fit metric.
+# tag ids, a tag center with a third value, a non-finite fit metric, a null
+# test metric (only an unscored model in memory has one).
 # (kind, corruption): (path, value).
 _BAD_VALUES = {
     ("camera", "boolean"): (["fy"], True),
@@ -442,6 +466,8 @@ _BAD_VALUES = {
     ("calib", "fractional_integer"): (["models", 0, "degree"], 1.9),
     ("calib", "nan_r2_train"): (["models", 2, "r2_train"], float("nan")),
     ("calib", "inf_r2_test"): (["models", 0, "r2_test"], -float("inf")),
+    ("calib", "null_r2_test"): (["models", 1, "r2_test"], None),
+    ("calib", "null_rmse_test"): (["models", 4, "rmse_test"], None),
 }
 # A key no reader knows, such as a misspelling or a field the model lacks:
 # (kind, corruption): (path to the object, key).
@@ -453,6 +479,61 @@ _UNKNOWN_KEYS = {
     ("calib", "unknown_key"): ([], "seed"),
     ("calib", "unknown_model_key"): (["models", 2], "r2"),
 }
+
+
+def _set_at(payload, path, value):
+    """Set the leaf of the JSON value ``payload`` that ``path`` (keys and
+    indices) leads to."""
+    for step in path[:-1]:
+        payload = payload[step]
+    payload[path[-1]] = value
+
+
+def _number_leaves(value, path=()):
+    """The path of every number in the JSON value ``value``, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _number_leaves(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _number_leaves(item, (*path, i))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+# The structure of calib.json as the pipeline writes it: six degree-1 models.
+_CALIB_SHAPE = json.loads(json.dumps(CalibrationReport(
+    models=tuple(AxisModel(axis=a, input_component=a, coefficients=(0.0, 1.0), degree=1,
+                           r2_train=1.0, rmse_train=0.0, r2_test=1.0, rmse_test=0.0)
+                 for a in range(6)),
+    split_fraction=0.8, split_seed=0, sample_count=10).to_dict()))
+_WHAT = {"camera": "camera", "layout": "layout", "params": "detection params",
+         "calib": "calibration report"}
+
+
+def _null_cases():
+    """(kind, path) for every number leaf of every config file; of the layout's
+    tags, only the first and the last."""
+    for kind, (_, payload, _) in _CONFIG_FILES.items():
+        payload = _CALIB_SHAPE if payload is None else payload
+        for path in _number_leaves(payload):
+            if kind != "layout" or path[0] != "tags" or path[1] in (0, len(payload["tags"]) - 1):
+                yield pytest.param(kind, path, id=f"{kind}-{'.'.join(map(str, path))}")
+
+
+@pytest.mark.parametrize("kind, path", list(_null_cases()))
+def test_null_number_is_a_validation_error(tmp_path, capsys, pipeline_dir, kind, path):
+    argv, payload, _ = _CONFIG_FILES[kind]
+    calib = pipeline_dir / "calib.json"
+    payload = read_json(calib) if payload is None else json.loads(json.dumps(payload))
+    _set_at(payload, path, None)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    rc = main([a.format(config=config, calib=calib) for a in argv]
+              + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {config}: bad {_WHAT[kind]}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind, corruption", [
@@ -477,16 +558,9 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
         payload["models"][3]["coefficients"][1] = float(corruption[:3])
     elif (kind, corruption) in _UNKNOWN_KEYS:
         path, unknown = _UNKNOWN_KEYS[kind, corruption]
-        target = payload
-        for step in path:
-            target = target[step]
-        target[unknown] = 3.0
+        _set_at(payload, [*path, unknown], 3.0)
     elif (kind, corruption) in _BAD_VALUES:
-        path, value = _BAD_VALUES[kind, corruption]
-        target = payload
-        for step in path[:-1]:
-            target = target[step]
-        target[path[-1]] = value
+        _set_at(payload, *_BAD_VALUES[kind, corruption])
     data = json.dumps([1] if corruption == "non_object" else payload).encode()
     if corruption == "truncated":
         data = data[:len(data) // 2]
@@ -674,15 +748,23 @@ def sweep_rows(tmp_path_factory):
         return list(csv.DictReader(fh))
 
 
-@pytest.mark.parametrize("cells", [
-    {"fx": "abc"},
-    {"dly": ""},
-    {"fz": "nan", "dlz": "inf"},
-    {"dthy": "1.6"},
-], ids=["non_numeric", "empty", "nan_inf", "rotation_1_6_rad"])
-def test_malformed_sweep_csv_is_validation_error(tmp_path, capsys, sweep_rows, cells):
+_OUT_OF_RANGE = "euler deltas must satisfy |angle| < pi/2 (operating regime)"
+
+
+# edits: {physical line: cells}; the error names line 5.
+@pytest.mark.parametrize("edits, detail", [
+    ({5: {"fx": "abc"}}, None),
+    ({5: {"dly": ""}}, None),
+    ({5: {"fz": "nan", "dlz": "inf"}}, "wrench components must be finite"),
+    ({5: {"dthy": "1.6"}}, _OUT_OF_RANGE),
+    ({5: {"dlz": "inf"}}, "deformation components must be finite"),
+    ({5: {"dthy": "1.6"}, 7: {"fz": "nan"}}, _OUT_OF_RANGE),
+], ids=["non_numeric", "empty", "nan_inf", "rotation_1_6_rad", "deformation_inf",
+        "first_bad_row"])
+def test_malformed_sweep_csv_is_validation_error(tmp_path, capsys, sweep_rows, edits, detail):
     rows = [dict(r) for r in sweep_rows]
-    rows[3].update(cells)
+    for line, cells in edits.items():
+        rows[line - 2].update(cells)
     data = tmp_path / "sweep.csv"
     with data.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -695,6 +777,8 @@ def test_malformed_sweep_csv_is_validation_error(tmp_path, capsys, sweep_rows, c
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{data} line 5: bad sweep row:" in err
+    if detail is not None:
+        assert err == f"error: {data} line 5: bad sweep row: {detail}\n"
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -230,6 +230,9 @@ def test_normal_matrix_trace_and_idempotence():
 def test_normal_matrix_rejects_non_unit():
     with pytest.raises(NotUnitVector):
         normal_matrix_from_unit_vector(np.array([1.0, 1.0, 0.0]))
+    # A NaN passes the unit-length test, |nan - 1| > 1e-6 being False.
+    with pytest.raises(ValidationFailure, match="normal must be finite"):
+        normal_matrix_from_unit_vector(np.array([np.nan, 0.0, 1.0]))
 
 
 def test_normal_matrix_type_validates_trace():

@@ -14,7 +14,7 @@ from ringsense.errors import (
     ValidationFailure,
 )
 
-from ringsense.geometry import apply_delta
+from ringsense.geometry import DeformationVector, apply_delta
 from ringsense.layout import visible_subset
 from ringsense.pnp import estimate_pose
 from ringsense.simulator import (
@@ -99,6 +99,19 @@ def test_compliance_validation():
         ComplianceModel(compliance=asym, deformation_limit=np.ones(6))
     with pytest.raises(ValidationFailure):
         ComplianceModel(compliance=-np.eye(6), deformation_limit=np.ones(6))
+    # A NaN limit would switch its component's limit check off: |d| > nan is False.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationFailure, match="deformation_limit must be finite"):
+            ComplianceModel(compliance=np.eye(6), deformation_limit=np.r_[np.ones(5), bad])
+
+
+def test_from_array_names_the_shape():
+    with pytest.raises(ValidationFailure,
+                       match=re.escape("wrench components must have shape (6,), got (5,)")):
+        Wrench.from_array(np.zeros(5))
+    with pytest.raises(ValidationFailure,
+                       match=re.escape("deformation components must have shape (6,), got (7,)")):
+        DeformationVector.from_array(np.zeros(7))
 
 
 def test_default_compliance_matches_reference_floors(compliance):
