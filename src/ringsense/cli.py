@@ -356,23 +356,21 @@ def _cmd_estimate(args) -> int:
 
 def _write_scatter_csv(path: Path, x: np.ndarray, y: np.ndarray,
                        report: CalibrationReport) -> None:
-    train_idx, _ = split_indices(len(x), report.split_fraction, report.split_seed)
+    train_idx, _ = split_indices(y, report.split_fraction, report.split_seed)
     train_set = set(train_idx.tolist())
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["wrench_axis", "sample", "input_value", "actual", "predicted", "subset"])
+        writer.writerow(["wrench_axis", "sample", "actual", "predicted", "subset"])
         for axis in range(6):
-            model = report.model_for_axis(axis)
-            inputs = x[:, model.input_component]
-            for i, (value, actual, predicted) in enumerate(zip(
-                    inputs.tolist(), y[:, axis].tolist(), model.predict(inputs).tolist())):
-                writer.writerow([axis, i, repr(value), repr(actual), repr(predicted),
+            predicted = report.model_for_axis(axis).predict(x)
+            for i, (actual, value) in enumerate(zip(y[:, axis].tolist(), predicted.tolist())):
+                writer.writerow([axis, i, repr(actual), repr(value),
                                  "train" if i in train_set else "test"])
 
 
 def _cmd_calibrate(args) -> int:
     x, y = _read_sweep_csv(Path(args.data))
-    report = calibrate(x, y, degree=args.degree, split_fraction=args.split, seed=args.seed)
+    report = calibrate(x, y, split_fraction=args.split, seed=args.seed)
     _dump_json(Path(args.out), report.to_dict())
     if args.scatter_csv:
         _write_scatter_csv(Path(args.scatter_csv), x, y, report)
@@ -483,8 +481,7 @@ def _cmd_pipeline(args) -> int:
     _write_sweep_csv(out_dir / "sweep_estimated.csv", axes, magnitudes, wrenches, deltas)
     _info(args, f"estimated {len(estimates)} poses in {took:.3g} s; {_solver_summary(estimates)}")
 
-    report, took = _stage("calibrate", calibrate, deltas, wrenches, degree=1,
-                          split_fraction=args.split,
+    report, took = _stage("calibrate", calibrate, deltas, wrenches, split_fraction=args.split,
                           seed=derive_seed(args.seed, "calibrate") % 2**32)
     _dump_json(out_dir / "calib.json", report.to_dict())
     _info(args, f"calibrated in {took:.3g} s; r2_test per axis: " + ", ".join(
@@ -494,7 +491,7 @@ def _cmd_pipeline(args) -> int:
     _dump_json(out_dir / "sensitivity.json", payload)
     _info(args, f"analyzed sensitivity in {took:.3g} s")
 
-    _write_manifest(out_dir, args, camera, layout, reference, {}, degree=1, split=args.split)
+    _write_manifest(out_dir, args, camera, layout, reference, {}, split=args.split)
     _info(args, f"wrote pipeline outputs to {out_dir}")
     return 0
 
@@ -556,9 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_est)
     p_est.set_defaults(handler=_cmd_estimate)
 
-    p_cal = sub.add_parser("calibrate", help="fit per-axis pose-to-wrench models")
+    p_cal = sub.add_parser("calibrate", help="fit the linear pose-to-wrench map")
     p_cal.add_argument("--data", required=True, help="sweep CSV")
-    p_cal.add_argument("--degree", type=int, default=1, choices=[1, 3])
     p_cal.add_argument("--split", type=float, default=0.8)
     p_cal.add_argument("--scatter-csv", default=None,
                        help="also write per-sample truth/prediction rows")

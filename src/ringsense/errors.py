@@ -92,28 +92,6 @@ class DeformationLimitExceeded(ValidationFailure):
     """Requested wrench drives the ring beyond its deformation limit."""
 
 
-# calibration
-class TooFewSamples(ValidationFailure):
-    """Not enough samples for the requested split or fit."""
-
-
-class UncoveredAxis(ValidationFailure):
-    """A wrench axis has no excitation in the calibration data."""
-
-
-class RankDeficient(NumericalFailure):
-    """Design matrix is rank deficient (e.g. constant input column)."""
-
-
-class ZeroVariance(NumericalFailure):
-    """Held-out targets have zero variance; R^2 is undefined."""
-
-
-# sensitivity
-class NonlinearModel(ValidationFailure):
-    """Wrench-floor propagation requires degree-1 axis models."""
-
-
 # contact monitor
 class FrameOutOfRange(ValidationFailure):
     """Frame index outside the trajectory range."""

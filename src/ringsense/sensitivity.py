@@ -2,15 +2,17 @@
 
 From the sub-pixel localization accuracy of the corner detector, derives
 the minimum detectable pose change of the plate and propagates it through
-a calibrated linear deformation-to-wrench model to the minimum detectable
+the calibrated linear deformation-to-wrench map to the minimum detectable
 wrench:
 
     dl_min     = (w_tag / w_img) * d_R
     dtheta_min = theta / (2 r sin(theta / 2)) * d_R
 
 The pose floor stacks the translation minimum on all three translation
-axes and the rotation minimum on all three rotation axes. Torque units are
-mN*m throughout, which is the same unit as N*mm.
+axes and the rotation minimum on all three rotation axes. The wrench floor
+of each axis is the root-sum-square over the deformation components,
+sqrt(sum_j (k_ij * floor_j)^2), for the calibrated weights k_ij. Torque
+units are mN*m throughout, which is the same unit as N*mm.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationReport
-from .errors import NonlinearModel, NumericalFailure, ValidationFailure, check_keys, read_number
+from .errors import NumericalFailure, ValidationFailure, check_keys, read_number
 from .geometry import DeformationVector
 from .simulator import Wrench
 
@@ -116,28 +118,26 @@ def pose_floor(params: DetectionParams) -> DeformationVector:
 
 
 def propagate_wrench_floor(floor: DeformationVector, calibration: CalibrationReport) -> Wrench:
-    """Minimum detectable wrench via the calibrated linear per-axis models.
+    """Minimum detectable wrench via the calibrated linear map.
 
-    Each component is |slope| of the axis model times the pose-floor entry
-    of the model's input component. Intercepts are excluded: a detection
-    floor is a differential quantity.
+    Each component is the root-sum-square over deformation components of
+    weight times floor entry, sqrt(sum_j (k_ij * floor_j)^2): the six floor
+    entries are independent limits, one per pose component. For a diagonal
+    K that is |slope| times the axis's own floor entry, and the small
+    off-diagonal weights that pose noise leaves in a fit move it only to
+    second order. Intercepts are excluded: a detection floor is a
+    differential quantity.
 
     Raises:
-        NonlinearModel: if any axis model is not degree 1.
-        NumericalFailure: a component is not finite, as when a slope near
+        NumericalFailure: a component is not finite, as when a weight near
         1e308 overflows.
     """
-    floor_values = floor.as_array()
-    out = np.zeros(6)
-    for axis in range(6):
-        model = calibration.model_for_axis(axis)
-        if model.degree != 1:
-            raise NonlinearModel(
-                f"axis {axis} model has degree {model.degree}; propagation needs degree 1"
-            )
-        out[axis] = abs(float(model.slope)) * float(floor_values[model.input_component])
-        if not math.isfinite(out[axis]):
-            raise NumericalFailure(f"wrench axis {axis}: |slope| x pose floor is not finite")
+    weights = np.array([calibration.model_for_axis(axis).weights for axis in range(6)])
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming the axis
+        out = np.hypot.reduce(weights * floor.as_array(), axis=1)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise NumericalFailure(f"wrench axis {bad[0]}: weights x pose floor is not finite")
     return Wrench.from_array(out)
 
 

@@ -129,15 +129,14 @@ def test_calibrate_on_ground_truth_sweep(tmp_path):
                  "--seed", "9", "--out", str(sim), "--quiet"]) == 0
     calib = tmp_path / "calib.json"
     scatter = tmp_path / "scatter.csv"
-    rc = main(["calibrate", "--data", str(sim / "sweep.csv"), "--degree", "1",
-               "--split", "0.8", "--seed", "9", "--out", str(calib),
+    rc = main(["calibrate", "--data", str(sim / "sweep.csv"), "--split", "0.8", "--seed", "9", "--out", str(calib),
                "--scatter-csv", str(scatter), "--quiet"])
     assert rc == 0
     report = read_json(calib)
     assert len(report["models"]) == 6
     assert all(m["r2_test"] > 0.9999 for m in report["models"])
     lines = scatter.read_text().splitlines()
-    assert lines[0] == "wrench_axis,sample,input_value,actual,predicted,subset"
+    assert lines[0] == "wrench_axis,sample,actual,predicted,subset"
     assert len(lines) == 1 + 6 * 120
 
 
@@ -243,8 +242,8 @@ def test_pipeline_reports_stage_times_unless_quiet(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, expected", [
     (["calibrate", "--data", "{data}", "--split", "1e-9"],
-     "the training split holds 0 of 120 samples but the degree-1 fit needs at least 3"),
-    (["calibrate", "--data", "{data}", "--split", "0.9999999", "--degree", "3"],
+     "the training split holds 0 of 120 samples but the fit needs at least 8"),
+    (["calibrate", "--data", "{data}", "--split", "0.9999999"],
      "the held-out split holds 0 of 120 samples but the evaluation needs at least 2"),
     (["pipeline", "--samples-per-axis", "10", "--split", "1e-9"],
      "stage 'calibrate': the training split holds 0 of 60 samples"),
@@ -266,16 +265,27 @@ def test_pipeline_zero_noise_r2(tmp_path):
     assert all(m["r2_test"] > 0.9999 for m in report["models"])
 
 
-def test_pipeline_starved_split_reports_axis(tmp_path, capsys):
-    # Seed 2 at 20 samples/axis happens to leave axis 5 out of the held-out
-    # partition; the failure must name the axis and the remedy.
-    out = tmp_path / "starved"
-    rc = main(["pipeline", "--seed", "2", "--sigma", "0", "--out", str(out),
-               "--samples-per-axis", "20", "--quiet"])
+def test_split_excites_every_axis_of_a_small_sweep(tmp_path, pipeline_dir):
+    # The split is stratified by dominant wrench axis: at 20 samples per axis
+    # every seed excites every axis on both sides.
+    for seed in range(10):
+        assert main(["calibrate", "--data", str(pipeline_dir / "sweep.csv"), "--seed", str(seed),
+                     "--out", str(tmp_path / "calib.json"), "--quiet"]) == 0
+
+
+def test_calibrate_starved_split_reports_axis(tmp_path, capsys, pipeline_dir):
+    # A sweep CSV with a single tz sample: its group of one trains, so the
+    # held-out side has no tz excitation; the failure names the axis and the
+    # remedy.
+    lines = (pipeline_dir / "sweep.csv").read_text().splitlines(keepends=True)
+    data = tmp_path / "sweep.csv"
+    data.write_text("".join(lines[:-19]))
+    rc = main(["calibrate", "--data", str(data), "--out", str(tmp_path / "calib.json"),
+               "--quiet"])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "stage 'calibrate'" in err
-    assert "axis 5" in err and "split seed" in err
+    assert capsys.readouterr().err == (
+        "error: wrench axis 5 (tz) has no excitation in the held-out split; increase the "
+        "sample count or change the split seed\n")
 
 
 def test_degenerate_frames_are_numerical_failure(tmp_path, capsys):
@@ -331,7 +341,7 @@ def test_extreme_finite_coordinates_are_numerical_failure(tmp_path, capsys, fram
                      "(0, pi/2) rad, got 5.42"),
     ({"w_img_px": 1e-308}, "error: {file}: bad detection params: translation floor must be "
                            "positive and finite, got inf mm"),
-    ({"w_tag_mm": 1e308}, "numerical failure: wrench axis 0: |slope| x pose floor is not "
+    ({"w_tag_mm": 1e308}, "numerical failure: wrench axis 0: weights x pose floor is not "
                           "finite"),
 ], ids=["d_r_1e308", "w_img_px_1e-308", "w_tag_mm_1e308"])
 def test_params_pose_floor_errors_name_their_source(tmp_path, capsys, pipeline_dir, params,
@@ -347,21 +357,17 @@ def test_params_pose_floor_errors_name_their_source(tmp_path, capsys, pipeline_d
     assert err.startswith(expected.format(file=path)) and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("degree, expected", [
-    ("3", "axis 0 model has degree 3; propagation needs degree 1"),
-    ("1", "wrench floor components must be positive"),
-], ids=["cubic_models", "zero_slope"])
-def test_report_without_a_wrench_floor_names_its_file(tmp_path, capsys, pipeline_dir, degree,
-                                                      expected):
-    # Each report passes its reader but gives no wrench floor: its models are
-    # cubic, or one linear model has a slope of 0.
+@pytest.mark.parametrize("expected", ["wrench floor components must be positive"],
+                         ids=["zero_slope"])
+def test_report_without_a_wrench_floor_names_its_file(tmp_path, capsys, pipeline_dir, expected):
+    # The report passes its reader but gives no wrench floor: one axis model
+    # has all six weights 0.
     calib = tmp_path / "calib.json"
-    assert main(["calibrate", "--data", str(pipeline_dir / "sweep.csv"), "--degree", degree,
+    assert main(["calibrate", "--data", str(pipeline_dir / "sweep.csv"),
                  "--out", str(calib), "--quiet"]) == 0
-    if degree == "1":
-        report = read_json(calib)
-        report["models"][2]["coefficients"][1] = 0.0
-        calib.write_text(json.dumps(report))
+    report = read_json(calib)
+    report["models"][2]["weights"] = [0.0] * 6
+    calib.write_text(json.dumps(report))
     rc = main(["sensitivity", "--calib", str(calib), "--out", str(tmp_path / "sens.json"),
                "--quiet"])
     assert rc == 1
@@ -461,9 +467,9 @@ _BAD_VALUES = {
     ("layout", "three_value_center"): (["tags", 5, "center_mm"], [2.6, 0.0, "x"]),
     ("params", "boolean"): (["d_r"], True),
     ("params", "numeric_string"): (["d_r"], "0.25"),
-    ("calib", "boolean"): (["models", 3, "coefficients", 1], True),
+    ("calib", "boolean"): (["models", 3, "weights", 1], True),
     ("calib", "numeric_string"): (["split_fraction"], "0.8"),
-    ("calib", "fractional_integer"): (["models", 0, "degree"], 1.9),
+    ("calib", "fractional_integer"): (["split_seed"], 1.9),
     ("calib", "nan_r2_train"): (["models", 2, "r2_train"], float("nan")),
     ("calib", "inf_r2_test"): (["models", 0, "r2_test"], -float("inf")),
     ("calib", "null_r2_test"): (["models", 1, "r2_test"], None),
@@ -501,10 +507,10 @@ def _number_leaves(value, path=()):
         yield path
 
 
-# The structure of calib.json as the pipeline writes it: six degree-1 models.
+# The structure of calib.json as the pipeline writes it: six axis models.
 _CALIB_SHAPE = json.loads(json.dumps(CalibrationReport(
-    models=tuple(AxisModel(axis=a, input_component=a, coefficients=(0.0, 1.0), degree=1,
-                           r2_train=1.0, rmse_train=0.0, r2_test=1.0, rmse_test=0.0)
+    models=tuple(AxisModel(axis=a, weights=(1.0,) * 6, intercept=0.0, r2_train=1.0,
+                           rmse_train=0.0, r2_test=1.0, rmse_test=0.0)
                  for a in range(6)),
     split_fraction=0.8, split_seed=0, sample_count=10).to_dict()))
 _WHAT = {"camera": "camera", "layout": "layout", "params": "detection params",
@@ -555,7 +561,7 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
     elif corruption in ("nan", "inf"):
         payload[key] = float(corruption)
     elif corruption.endswith("_coefficient"):
-        payload["models"][3]["coefficients"][1] = float(corruption[:3])
+        payload["models"][3]["weights"][1] = float(corruption[:3])
     elif (kind, corruption) in _UNKNOWN_KEYS:
         path, unknown = _UNKNOWN_KEYS[kind, corruption]
         _set_at(payload, [*path, unknown], 3.0)

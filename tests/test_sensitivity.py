@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ringsense.calibration import AxisModel, CalibrationReport, calibrate
-from ringsense.errors import NonlinearModel, NumericalFailure, ValidationFailure
+from ringsense.errors import NumericalFailure, ValidationFailure
 from ringsense.geometry import DeformationVector
 from ringsense.sensitivity import (
     DetectionParams,
@@ -19,15 +19,24 @@ from ringsense.simulator import Wrench, default_compliance, deform
 REFERENCE_WRENCH_FLOOR = np.array([4.30, 4.22, 9.93, 0.32, 0.13, 8.55])
 
 
-def slope_report(slopes, input_components=None):
-    comps = input_components if input_components is not None else list(range(6))
+def weights_report(weights):
+    """A report whose axis i has the weights of row i of ``weights``."""
     models = tuple(
-        AxisModel(axis=i, input_component=comps[i], coefficients=(0.0, slopes[i]),
-                  degree=1, r2_train=1.0, rmse_train=0.0, r2_test=1.0, rmse_test=0.0)
-        for i in range(6)
+        AxisModel(axis=i, weights=tuple(row), intercept=0.0, r2_train=1.0, rmse_train=0.0,
+                  r2_test=1.0, rmse_test=0.0)
+        for i, row in enumerate(np.asarray(weights, dtype=np.float64).tolist())
     )
     return CalibrationReport(models=models, split_fraction=0.8, split_seed=0,
                              sample_count=100)
+
+
+def slope_report(slopes, input_components=None):
+    """A report whose axis i weighs only component input_components[i]
+    (i by default), by slopes[i]."""
+    comps = input_components if input_components is not None else list(range(6))
+    weights = np.zeros((6, 6))
+    weights[range(6), comps] = slopes
+    return weights_report(weights)
 
 
 # ----------------------------------------------------------------- minima
@@ -127,16 +136,15 @@ def test_propagation_overflow_names_the_axis():
         propagate_wrench_floor(pose_floor(DetectionParams(w_tag=1e4)), slope_report(slopes))
 
 
-def test_propagation_rejects_nonlinear_models():
-    models = tuple(
-        AxisModel(axis=i, input_component=i, coefficients=(0.0, 1.0, 0.0, 0.1),
-                  degree=3, r2_train=1.0, rmse_train=0.0, r2_test=1.0, rmse_test=0.0)
-        for i in range(6)
-    )
-    report = CalibrationReport(models=models, split_fraction=0.8, split_seed=0,
-                               sample_count=100)
-    with pytest.raises(NonlinearModel):
-        propagate_wrench_floor(pose_floor(DetectionParams()), report)
+def test_propagation_is_the_root_sum_square_over_components():
+    # A coupled axis: each weight's k_ij * floor_j adds in quadrature.
+    rng = np.random.default_rng(5)
+    weights = rng.normal(size=(6, 6)) * 100.0
+    floor = pose_floor(DetectionParams())
+    wrench = propagate_wrench_floor(floor, weights_report(weights)).as_array()
+    for i in range(6):
+        expected = math.sqrt(sum((k * f) ** 2 for k, f in zip(weights[i], floor.as_array())))
+        assert wrench[i] == pytest.approx(expected, rel=1e-12)
 
 
 def test_end_to_end_zero_noise_calibration_matches_analytic_floor():
