@@ -47,6 +47,7 @@ from .geometry import (
     DeformationVector,
     PinholeCamera,
     RigidTransform,
+    _pinhole,
     default_camera,
     delta_from_poses,
 )
@@ -344,6 +345,12 @@ def _cmd_estimate(args) -> int:
     camera = _load_config(args.camera, default_camera, PinholeCamera.from_dict, "camera")
     frames = _load_jsonl(Path(args.frames), lambda row: (
         read_integer(row["frame"], "frame"), _corrs_from_row(row)), "frame row")
+    # A value the camera file accepts (an fx of 1e308) can still overflow the
+    # projection; the first frame at rest shows it, and the error names the file.
+    if args.camera is not None and frames and not np.isfinite(
+            _pinhole(camera, default_reference_pose().apply(frames[0][1].ref))).all():
+        raise _malformed(args.camera, None, "camera", ValueError(
+            "the first frame projects to non-finite pixels at the reference pose"))
     estimates = estimate_poses(camera, [corrs for _, corrs in frames],
                                allow_single_tag=args.allow_single_tag)
     _dump_jsonl(Path(args.out), ({"frame": frame, **estimate.to_dict()}

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import EulerOutOfRange, FrameOutOfRange, StreamEnded, ValidationFailure
+from .errors import EulerOutOfRange, ValidationFailure
 from .geometry import (
     DeformationVector,
     RigidTransform,
@@ -97,7 +97,7 @@ class ApproachTrajectory:
 def interpolate(traj: ApproachTrajectory, frame: int) -> np.ndarray:
     """Joint vector at ``frame``: start at 0, target at total_frames."""
     if not 0 <= frame <= traj.total_frames:
-        raise FrameOutOfRange(f"frame {frame} outside 0..{traj.total_frames}")
+        raise ValidationFailure(f"frame {frame} outside 0..{traj.total_frames}")
     start = np.array(traj.start_joints)
     target = np.array(traj.target_joints)
     return start + (frame / traj.total_frames) * (target - start)
@@ -155,7 +155,7 @@ def run_episode(
     immediate contact stops the hand before any motion.
 
     Raises:
-        StreamEnded: the stream ran out before the episode finished.
+        ValidationFailure: if the stream runs out before the episode finishes.
     """
     if traj.total_frames != config.total_frames:
         raise ValidationFailure(
@@ -169,7 +169,7 @@ def run_episode(
             try:
                 pose = next(it)
             except StopIteration:
-                raise StreamEnded("stream ended during reference capture") from None
+                raise ValidationFailure("stream ended during reference capture") from None
             if pose is not None:
                 captured.append(pose.pose)
         if not captured:
@@ -188,7 +188,7 @@ def run_episode(
         try:
             pose = next(it)
         except StopIteration:
-            raise StreamEnded(f"stream ended at approach frame {frame}") from None
+            raise ValidationFailure(f"stream ended at approach frame {frame}") from None
         try:
             delta_z = None if pose is None else abs(delta_from_poses(reference, pose.pose).dl_z)
         except EulerOutOfRange:

@@ -6,6 +6,13 @@ Two families matter for the CLI exit-code contract: ``ValidationFailure``
 (bad or out-of-range input, exit code 1) and ``NumericalFailure``
 (a solve that cannot proceed, exit code 2). I/O problems are plain
 ``OSError`` and map to exit code 3.
+
+A subclass exists only where a caller tells it apart; every other failure
+raises its base class with its own message. ``EulerOutOfRange`` is caught
+by ``contact.run_episode``, which skips that frame. ``TooFewTagsVisible``,
+``DegenerateConfiguration``, ``BehindCamera`` and ``NonPositiveDepth`` are
+the ways one frame's pose solve fails, from which the planned per-frame
+statuses of ``estimate`` are mapped.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ def check_keys(data: dict, known, what: str) -> None:
         raise ValidationFailure(f"unknown keys {unknown} in {what}; known: {', '.join(known)}")
 
 
-# geometry
 class NonPositiveDepth(NumericalFailure):
     """Point is at or behind the camera plane (z <= 0)."""
 
@@ -57,24 +63,10 @@ class EulerOutOfRange(ValidationFailure):
     """Euler angle magnitude at or beyond pi/2, outside the operating regime."""
 
 
-class NotUnitVector(ValidationFailure):
-    """Vector norm is not 1 within tolerance."""
-
-
-# tag layout
-class UnknownTagId(ValidationFailure):
-    """Tag id not present in the layout."""
-
-
 class TooFewTagsVisible(ValidationFailure):
     """Fewer tags than the solver minimum remain after masking."""
 
 
-class LayoutOverlap(ValidationFailure):
-    """Two tag footprints are closer than the non-overlap bound."""
-
-
-# pose estimation
 class DegenerateConfiguration(NumericalFailure):
     """Reference points are too few, collinear or not coplanar for a pose solve."""
 
@@ -82,20 +74,3 @@ class DegenerateConfiguration(NumericalFailure):
 class BehindCamera(NumericalFailure):
     """No sign choice places the reconstructed points at positive depth."""
 
-
-# simulator
-class CornerOutOfImage(ValidationFailure):
-    """A synthesized corner falls outside the image bounds."""
-
-
-class DeformationLimitExceeded(ValidationFailure):
-    """Requested wrench drives the ring beyond its deformation limit."""
-
-
-# contact monitor
-class FrameOutOfRange(ValidationFailure):
-    """Frame index outside the trajectory range."""
-
-
-class StreamEnded(ValidationFailure):
-    """Pose stream exhausted before the episode completed."""

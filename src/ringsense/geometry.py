@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     EulerOutOfRange,
     NonPositiveDepth,
-    NotUnitVector,
     ValidationFailure,
     check_keys,
     read_number,
@@ -302,13 +301,13 @@ def normal_matrix_from_unit_vector(n: np.ndarray) -> NormalMatrix6:
     """Six-entry encoding of M = n n^T; identical for n and -n.
 
     Raises:
-        ValidationFailure: if n is not a finite 3-vector.
-        NotUnitVector: if ||n|| differs from 1 by more than 1e-6.
+        ValidationFailure: if n is not a finite 3-vector, or if ||n||
+        differs from 1 by more than 1e-6.
     """
     v = _frozen_array(n, (3,), "normal")
     norm = math.sqrt(float(v[0]) ** 2 + float(v[1]) ** 2 + float(v[2]) ** 2)
     if abs(norm - 1.0) > 1e-6:
-        raise NotUnitVector(f"normal must be unit length within 1e-6, got |n|={norm}")
+        raise ValidationFailure(f"normal must be unit length within 1e-6, got |n|={norm}")
     # Normalizing first keeps the unit-trace invariant tight; all entries are
     # products of two components, so negating n leaves them bit-identical.
     x, y, z = float(v[0]) / norm, float(v[1]) / norm, float(v[2]) / norm

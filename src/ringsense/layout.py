@@ -24,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    LayoutOverlap,
     TooFewTagsVisible,
-    UnknownTagId,
     ValidationFailure,
     check_keys,
     read_integer,
@@ -90,7 +88,7 @@ class TagLayout:
             d = np.linalg.norm(centers[i + 1 :] - centers[i], axis=1)
             if d.size and np.min(d) <= bound:
                 j = i + 1 + int(np.argmin(d))
-                raise LayoutOverlap(
+                raise ValidationFailure(
                     f"tags {self.tags[i].tag_id} and {self.tags[j].tag_id} are "
                     f"{np.min(d):.6g} mm apart, within the {bound:.6g} mm footprint bound"
                 )
@@ -141,7 +139,7 @@ def default_layout(
     """Deterministic 35-tag layout: 3x3 grid plus a 26-tag surrounding ring.
 
     Ring tags sit on two interleaved circles at ``ring_radius +- ring_spread``
-    with radially aligned yaw. Raises :class:`LayoutOverlap` if the requested
+    with radially aligned yaw. Raises ValidationFailure if the requested
     parameters crowd any pair of footprints.
     """
     tags: list[TagPlacement] = []
@@ -169,7 +167,7 @@ def corners_ref(layout: TagLayout, tag_id: int) -> np.ndarray:
     try:
         row = layout._rows[tag_id]
     except KeyError:
-        raise UnknownTagId(f"tag id {tag_id} not in layout") from None
+        raise ValidationFailure(f"tag id {tag_id} not in layout") from None
     return layout._corners[row].copy()
 
 

@@ -39,11 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CornerOutOfImage,
-    DeformationLimitExceeded,
-    ValidationFailure,
-)
+from .errors import ValidationFailure
 from .geometry import (
     DeformationVector,
     PinholeCamera,
@@ -148,7 +144,7 @@ def deform(model: ComplianceModel, wrench: Wrench) -> DeformationVector:
     """Deformation produced by ``wrench``: ``C @ F``.
 
     Raises:
-        DeformationLimitExceeded: if any component exceeds its limit.
+        ValidationFailure: if any component exceeds its limit.
     """
     delta = model.compliance @ wrench.as_array()
     _check_limits(model, delta[None])
@@ -156,13 +152,13 @@ def deform(model: ComplianceModel, wrench: Wrench) -> DeformationVector:
 
 
 def _check_limits(model: ComplianceModel, deltas: np.ndarray) -> None:
-    """Raise DeformationLimitExceeded for the first row of the (B, 6)
+    """Raise ValidationFailure for the first row of the (B, 6)
     ``deltas`` with a component over its limit, naming its worst component."""
     over = (np.abs(deltas) > model.deformation_limit).any(axis=1)
     if over.any():
         delta = deltas[int(np.argmax(over))]
         worst = int(np.argmax(np.abs(delta) - model.deformation_limit))
-        raise DeformationLimitExceeded(
+        raise ValidationFailure(
             f"component {worst} deformation {delta[worst]:.6g} exceeds limit "
             f"{model.deformation_limit[worst]:.6g}"
         )
@@ -186,9 +182,8 @@ def project_layout(
     synthesizer and for closed-form test oracles.
 
     Raises:
-        ValidationFailure: if ``visible`` does not hold one entry per tag.
-        CornerOutOfImage: naming the first tag with a corner at or behind
-        the camera.
+        ValidationFailure: if ``visible`` does not hold one entry per tag,
+        or naming the first tag with a corner at or behind the camera.
     """
     if visible is None:
         tags = layout.tags
@@ -204,7 +199,7 @@ def project_layout(
     behind = cams[..., 2] <= 0
     if behind.any():
         tag_id = ids[int(np.argmax(behind.any(axis=1)))]
-        raise CornerOutOfImage(f"tag {tag_id} has corners behind the camera")
+        raise ValidationFailure(f"tag {tag_id} has corners behind the camera")
     # One project_points call per visible tag: the benchmark's traced test
     # asserts that per-frame call count.
     img = np.concatenate([project_points(camera, c) for c in cams] or [np.empty((0, 2))])
@@ -235,7 +230,7 @@ def _observe(
     inside = camera.contains(img)
     if not inside.all():
         k = int(np.argmin(inside))
-        raise CornerOutOfImage(
+        raise ValidationFailure(
             f"tag {exact.tag_ids[k]} corner {exact.corner_idx[k]} at ({img[k, 0]:.6g}, {img[k, 1]:.6g}) "
             f"is outside the {camera.image_width:.6g}x{camera.image_height:.6g} image"
         )
@@ -257,7 +252,9 @@ def synthesize_frame(
     before any noise is consumed.
 
     Raises:
-        DeformationLimitExceeded, TooFewTagsVisible, CornerOutOfImage.
+        ValidationFailure: for a deformation over its limit or a corner
+        behind the camera or outside the image.
+        TooFewTagsVisible: if occlusion leaves fewer than two tags.
     """
     ground_truth = apply_delta(reference_pose, deform(compliance, wrench))
     rng = np.random.default_rng(noise.seed)
@@ -299,10 +296,9 @@ def sweep_dataset(
     magnitudes share ground truth but draw distinct noise.
 
     Raises:
-        ValidationFailure: for an axis outside 0..5 or a non-finite
-        magnitude.
-        DeformationLimitExceeded: for the first magnitude over the limit,
-        with :func:`deform`'s message; before any frame is drawn.
+        ValidationFailure: for an axis outside 0..5, a non-finite
+        magnitude, or the first magnitude over the limit (with
+        :func:`deform`'s message, before any frame is drawn).
     """
     if not 0 <= axis <= 5:
         raise ValidationFailure(f"axis must be 0..5, got {axis}")

@@ -47,8 +47,8 @@ def test_layout_emit_overlapping_radius_fails(tmp_path, capsys):
     out = tmp_path / "layout.json"
     rc = main(["layout", "emit", "--ring-radius", "2.5", "--out", str(out), "--quiet"])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "tags" in err and "footprint" in err
+    assert capsys.readouterr().err == ("error: tags 0 and 30 are 0.67299 mm apart, "
+                                       "within the 2.4 mm footprint bound\n")
     assert not out.exists()
 
 
@@ -202,7 +202,8 @@ def _turned_about_x(row):
     (lambda rows: rows[:2] + [_turned_about_x(rows[2])] + rows[3:],
      "relative rotation outside the +-pi/2 operating range"),
     (lambda rows: rows[:3], "stream ended during reference capture"),
-], ids=["reference_row_rotated", "three_rows"])
+    (lambda rows: rows[:7], "stream ended at approach frame 2"),
+], ids=["reference_row_rotated", "three_rows", "seven_rows"])
 def test_monitor_errors_name_the_poses_file(tmp_path, capsys, pipeline_dir, edit, detail):
     # Row 3 lies inside the 5-frame reference window; no frame is named,
     # since the bad row may be the reference anchor.
@@ -611,6 +612,26 @@ def test_camera_that_does_not_see_the_plate_at_rest_is_named(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (f"error: {camera}: bad camera: tag 0 corner 0 at "
                                        "(5.396, -2.604) is outside the 64x48 image\n")
+
+
+@pytest.mark.parametrize("fx", [1e308, 1e6, None], ids=["overflowing", "large", "no_camera"])
+def test_estimate_names_a_camera_that_overflows_at_rest(tmp_path, capsys, fx):
+    # An fx of 1e308 passes the camera file's checks, and the solve would
+    # fail in EPnP (exit 2) without naming the file.
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--seed", "3", "--samples-per-axis", "2", "--out", str(sim),
+                 "--quiet"]) == 0
+    camera = tmp_path / "camera.json"
+    camera.write_text(json.dumps({**default_camera().to_dict(), "fx": fx}))
+    rc = main(["estimate", "--frames", str(sim / "frames.jsonl"),
+               *([] if fx is None else ["--camera", str(camera)]),
+               "--out", str(tmp_path / "poses.jsonl"), "--quiet"])
+    err = capsys.readouterr().err
+    if fx == 1e308:
+        assert (rc, err) == (1, f"error: {camera}: bad camera: the first frame projects to "
+                                "non-finite pixels at the reference pose\n")
+    else:
+        assert (rc, err) == (0, "")
 
 
 def test_written_config_files_load_back(tmp_path, pipeline_dir):

@@ -7,7 +7,6 @@ import pytest
 from ringsense.errors import (
     EulerOutOfRange,
     NonPositiveDepth,
-    NotUnitVector,
     ValidationFailure,
 )
 from ringsense.geometry import (
@@ -228,7 +227,8 @@ def test_normal_matrix_trace_and_idempotence():
 
 
 def test_normal_matrix_rejects_non_unit():
-    with pytest.raises(NotUnitVector):
+    with pytest.raises(ValidationFailure, match=r"^normal must be unit length within 1e-6, "
+                                                r"got \|n\|=1\.4142135623730951$"):
         normal_matrix_from_unit_vector(np.array([1.0, 1.0, 0.0]))
     # A NaN passes the unit-length test, |nan - 1| > 1e-6 being False.
     with pytest.raises(ValidationFailure, match="normal must be finite"):

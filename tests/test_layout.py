@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsense.errors import LayoutOverlap, TooFewTagsVisible, UnknownTagId, ValidationFailure
+from ringsense.errors import TooFewTagsVisible, ValidationFailure
 from ringsense.geometry import default_camera
 from ringsense.layout import (
     TagLayout,
@@ -96,7 +96,7 @@ def test_corners_match_2d_rotation_oracle():
 
 
 def test_unknown_tag_id(layout):
-    with pytest.raises(UnknownTagId):
+    with pytest.raises(ValidationFailure, match=r"^tag id 999 not in layout$"):
         corners_ref(layout, 999)
 
 
@@ -115,7 +115,8 @@ def test_tag_ids_outside_int64_rejected(tag_id):
 
 
 def test_overlap_rejected_names_pair():
-    with pytest.raises(LayoutOverlap, match="tags 3 and 4"):
+    with pytest.raises(ValidationFailure, match=r"^tags 3 and 4 are 1 mm apart, "
+                       r"within the 2\.4 mm footprint bound$"):
         TagLayout(tags=(
             TagPlacement(3, (0.0, 0.0), 0.0),
             TagPlacement(4, (1.0, 0.0), 0.0),
@@ -124,7 +125,8 @@ def test_overlap_rejected_names_pair():
 
 def test_crowded_ring_radius_rejected():
     # 26 ring tags cannot fit around the 3x3 grid at radius 6.
-    with pytest.raises(LayoutOverlap):
+    with pytest.raises(ValidationFailure, match=r"^tags 0 and 17 are 1\.34816 mm apart, "
+                       r"within the 2\.4 mm footprint bound$"):
         default_layout(ring_radius=6.0)
 
 
