@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import operator
 import sys
 import time
 from dataclasses import asdict
@@ -178,12 +179,13 @@ def _check_plate_projects(given: dict[str, str], camera: PinholeCamera, layout: 
 def _frame_lines(numbered_frames):
     """The frames.jsonl line of each (number, frame) pair, byte for byte ``json.dumps(row,
     sort_keys=True)`` (json writes ints and finite floats as repr). The text fixed by ids,
-    corners and reference points is a %-template, rebuilt only when those bytes change."""
+    corners and reference points is a %-template, rebuilt only when those arrays are not
+    the previous frame's: consecutive sets of one table share them (see ``CorrespondenceSet``)."""
     key = template = None
     for i, corrs in numbered_frames:
-        frame_key = (corrs.tag_ids.tobytes(), corrs.corner_idx.tobytes(), corrs.ref.tobytes())
-        if frame_key != key:
-            key = frame_key
+        table = (corrs.tag_ids, corrs.corner_idx, corrs.ref)
+        if key is None or not all(map(operator.is_, table, key)):
+            key = table
             entries = (f'{{"corner": {c}, "img_px": [%r, %r], "ref_mm": [{x!r}, {y!r}, {z!r}], '
                        f'"tag_id": {t}}}' for t, c, (x, y, z) in zip(
                            corrs.tag_ids.tolist(), corrs.corner_idx.tolist(), corrs.ref.tolist()))
@@ -216,10 +218,8 @@ def _coordinates(entries, key: str, width: int) -> np.ndarray:
 def _corrs_from_row(row: dict) -> CorrespondenceSet:
     entries = row["entries"]
     return CorrespondenceSet(
-        tag_ids=np.array(_checked([e["tag_id"] for e in entries], "tag_id",
-                                  read_integer, {int}), dtype=np.int64),
-        corner_idx=np.array(_checked([e["corner"] for e in entries], "corner",
-                                     read_integer, {int}), dtype=np.int64),
+        tag_ids=_checked([e["tag_id"] for e in entries], "tag_id", read_integer, {int}),
+        corner_idx=_checked([e["corner"] for e in entries], "corner", read_integer, {int}),
         ref=_coordinates(entries, "ref_mm", 3),
         img=_coordinates(entries, "img_px", 2),
     )

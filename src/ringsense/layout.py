@@ -30,8 +30,8 @@ from .errors import (
     read_integer,
     read_number,
 )
+from .pnp import _INT64
 
-_INT64 = np.iinfo(np.int64)  # tag ids are int64 in every CorrespondenceSet
 _RING_COUNT = 26  # tags on the ring around the 3x3 grid of default_layout
 # Local corner order: counter-clockwise from bottom-left, unit half-size.
 _CORNER_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])

@@ -55,12 +55,15 @@ alike; the gradient test is not an iteration, so a frame whose initial pose
 already passes it reports 0.
 
 Solvers are pure functions of their inputs; identical inputs give
-bit-identical estimates. The one piece of hidden state is a one-entry memo
-(``_epnp_reference``) of the EPnP terms that depend only on a chunk's
-reference points, from the centroids and the SVD of the centered points to
-the barycentric coordinates and control-point distances. Every unoccluded
-frame has the same corner table, so a stream of such frames computes them
-once; a result from the memo is bit-identical to a cold solve. There is no
+bit-identical estimates. The hidden state is two one-entry memos, both keyed
+on the corner table that every unoccluded frame repeats. ``_epnp_reference``
+keeps the EPnP terms that depend only on a chunk's reference points, from
+the centroids and the SVD of the centered points to the barycentric
+coordinates and control-point distances, so a stream of such frames
+computes them once; a result from the memo is bit-identical to a cold
+solve. ``_last_table`` keeps the ids, corner indices and reference points of
+the last valid ``CorrespondenceSet``: a set whose table equals it shares
+those read-only arrays and copies and checks only its pixels. There is no
 outlier rejection: correspondences carry known associations (simulated or
 id-decoded), so every entry enters the cost. A robust front end would be
 the extension point for raw detector input with association errors.
@@ -105,6 +108,29 @@ _DAMPING_UP = 10.0
 _DAMPING_DOWN = 1.0 / 3.0
 _EYE6 = np.eye(6)
 _EYE6.setflags(write=False)
+_INT64 = np.iinfo(np.int64)  # tag ids and corner indices are int64 in every CorrespondenceSet
+# The (tag_ids, corner_idx, ref) of the last valid CorrespondenceSet: read-only
+# copies that its constructor made, never an array a caller passed in.
+_last_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def _int64s(values, message: str) -> np.ndarray:
+    """``values`` as an int64 array, the caller's own when it already is one;
+    a value outside int64 raises ``message`` formatted with the first such
+    value."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        outside = next((v for v in np.array(values, dtype=object).ravel().tolist()
+                        if not _INT64.min <= v <= _INT64.max), None)
+        if outside is None:
+            raise
+        raise ValidationFailure(message.format(outside)) from None
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` is ``b`` or has its dtype, shape and bytes."""
+    return a is b or (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +139,16 @@ class CorrespondenceSet:
 
     Row ``i`` is corner ``corner_idx[i]`` of tag ``tag_ids[i]``, at plate-frame
     point ``ref[i]`` (mm) and observed at pixel ``img[i]``; shapes (n,),
-    (n,), (n, 3) and (n, 2). Structural invariants (agreeing shapes, no
-    duplicate (tag_id, corner) pairs, corner index 0..3, finite coordinates)
-    are enforced here. Image-bound containment is the producer's contract
-    (see the simulator); the solvers accept any finite pixel coordinates.
+    (n,), (n, 3) and (n, 2). Structural invariants (ids and corner indices
+    that fit in int64, agreeing shapes, no duplicate (tag_id, corner) pairs,
+    corner index 0..3, finite coordinates) are enforced here. Image-bound
+    containment is the producer's contract (see the simulator); the solvers
+    accept any finite pixel coordinates.
+
+    A set shares memory with no array its caller made, only with other
+    sets: when ``tag_ids``, ``corner_idx`` and ``ref`` are those of the last
+    valid set (the same arrays, or the same dtype, shape and bytes), the set
+    takes that set's arrays and copies and checks only ``img``.
     """
 
     tag_ids: np.ndarray
@@ -125,9 +157,13 @@ class CorrespondenceSet:
     img: np.ndarray
 
     def __post_init__(self) -> None:
-        tag_ids = np.array(self.tag_ids, dtype=np.int64)
-        corner_idx = np.array(self.corner_idx, dtype=np.int64)
-        ref = np.array(self.ref, dtype=np.float64)
+        global _last_table
+        table = (_int64s(self.tag_ids, "tag ids must fit in int64, got {}"),
+                 _int64s(self.corner_idx, "corner_index must be 0..3, got {}"),
+                 np.asarray(self.ref, dtype=np.float64))
+        last = _last_table
+        shared = last is not None and all(map(_same, table, last))
+        tag_ids, corner_idx, ref = table = last if shared else tuple(np.array(a) for a in table)
         img = np.array(self.img, dtype=np.float64)
         n = tag_ids.shape[0] if tag_ids.ndim == 1 else -1
         if (corner_idx.shape, ref.shape, img.shape) != ((n,), (n, 3), (n, 2)):
@@ -135,18 +171,21 @@ class CorrespondenceSet:
                 "correspondence arrays must have shapes (n,), (n,), (n, 3), (n, 2); got "
                 f"{tag_ids.shape}, {corner_idx.shape}, {ref.shape}, {img.shape}"
             )
-        order = np.lexsort((corner_idx, tag_ids))
-        t, c = tag_ids[order], corner_idx[order]
-        if ((t[1:] == t[:-1]) & (c[1:] == c[:-1])).any():
-            raise ValidationFailure("duplicate (tag_id, corner_index) pair in correspondences")
-        bad = (corner_idx < 0) | (corner_idx > 3)
-        if bad.any():
-            raise ValidationFailure(f"corner_index must be 0..3, got {corner_idx[np.argmax(bad)]}")
-        if not (np.isfinite(ref).all() and np.isfinite(img).all()):
+        if not shared:  # a shared table passed these checks when it was built
+            order = np.lexsort((corner_idx, tag_ids))
+            t, c = tag_ids[order], corner_idx[order]
+            if ((t[1:] == t[:-1]) & (c[1:] == c[:-1])).any():
+                raise ValidationFailure("duplicate (tag_id, corner_index) pair in correspondences")
+            bad = (corner_idx < 0) | (corner_idx > 3)
+            if bad.any():
+                raise ValidationFailure(
+                    f"corner_index must be 0..3, got {corner_idx[np.argmax(bad)]}")
+        if not ((shared or np.isfinite(ref).all()) and np.isfinite(img).all()):
             raise ValidationFailure("correspondence coordinates must be finite")
-        for f, a in zip(fields(self), (tag_ids, corner_idx, ref, img)):
+        for f, a in zip(fields(self), (*table, img)):
             a.setflags(write=False)
             object.__setattr__(self, f.name, a)
+        _last_table = table
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CorrespondenceSet):

@@ -766,6 +766,23 @@ def test_frame_coordinates_must_be_json_numbers(tmp_path, capsys, frame_row, key
         f"error: {frames} line 2: bad frame row: {key} must be a number, got {value!r}\n")
 
 
+@pytest.mark.parametrize("key, value, detail", [
+    ("tag_id", 2**63, "tag ids must fit in int64, got 9223372036854775808"),
+    ("tag_id", -2**63 - 1, "tag ids must fit in int64, got -9223372036854775809"),
+    ("corner", 2**64, "corner_index must be 0..3, got 18446744073709551616"),
+], ids=["tag_id_2_63", "tag_id_below_int64", "corner_2_64"])
+def test_frame_integers_must_fit_in_int64(tmp_path, capsys, frame_row, key, value, detail):
+    # numpy's own overflow message names neither the field nor the rule.
+    row = json.loads(json.dumps(frame_row))
+    row["entries"][3][key] = value
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text(json.dumps(frame_row) + "\n" + json.dumps(row) + "\n")
+    rc = main(["estimate", "--frames", str(frames),
+               "--out", str(tmp_path / "poses.jsonl"), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {frames} line 2: bad frame row: {detail}\n"
+
+
 @pytest.fixture(scope="module")
 def sweep_rows(tmp_path_factory):
     sim = tmp_path_factory.mktemp("sweep")

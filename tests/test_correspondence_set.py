@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ringsense import pnp
 from ringsense.cli import _corrs_from_row, _frame_lines
 from ringsense.errors import ValidationFailure
 from ringsense.pnp import CorrespondenceSet
@@ -156,3 +157,96 @@ def frame_sequences(draw):
 def test_frame_lines_match_json_dumps(frames, first):
     numbered = list(enumerate(frames, first))
     assert list(_frame_lines(numbered)) == [oracle_line(i, corrs) for i, corrs in numbered]
+
+
+@st.composite
+def next_inputs(draw, prev):
+    """Constructor inputs after the valid set ``prev`` (None before the first
+    one): a new table, or ``prev``'s table as its own arrays, as copies or as
+    lists, with new pixels; then at most one defect."""
+    source = "new" if prev is None else draw(st.sampled_from(["new", "same", "copy", "list"]))
+    if source == "new":
+        fields = draw(valid_arrays(elements=edge_floats))
+    else:
+        fields = {name: getattr(prev, name) for name in FIELDS[:3]}
+        if source != "same":
+            fields = {k: v.copy() if source == "copy" else v.tolist() for k, v in fields.items()}
+        fields["img"] = draw(arrays(np.float64, (len(prev), 2), elements=edge_floats))
+    n = len(fields["img"])
+    defect = draw(st.sampled_from([None, None, "duplicate", "corner", "nan_ref", "nan_img",
+                                   "short_img"]))
+    if defect is None or n == 0:
+        return fields
+    i = draw(st.integers(0, n - 1))
+    if defect == "duplicate":
+        return {k: np.concatenate([np.asarray(v), np.asarray(v)[i:i + 1]])
+                for k, v in fields.items()}
+    if defect == "short_img":
+        return {**fields, "img": fields["img"][:-1]}
+    name, column, value = {"corner": ("corner_idx", None, draw(st.sampled_from([-1, 4]))),
+                           "nan_ref": ("ref", 2, np.nan), "nan_img": ("img", 1, np.nan)}[defect]
+    bad = np.array(fields[name])
+    bad[(i,) if column is None else (i, column)] = value
+    return {**fields, name: bad}
+
+
+def _build(fields):
+    """The dtype, shape and bytes of each array of the set built from
+    ``fields``, or the type and message of its error; and the set."""
+    try:
+        corrs = CorrespondenceSet(**fields)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return (type(exc), str(exc)), None
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (getattr(corrs, f) for f in FIELDS)], corrs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_memo_changes_no_outcome(data):
+    inputs, outcomes, prev = [], [], None
+    for _ in range(data.draw(st.integers(1, 8))):
+        inputs.append(data.draw(next_inputs(prev)))
+        outcome, corrs = _build(inputs[-1])
+        outcomes.append(outcome)
+        prev = corrs or prev
+    cold = []
+    for fields in inputs:
+        pnp._last_table = None
+        cold.append(_build(fields)[0])
+    assert outcomes == cold
+
+
+def test_equal_tables_share_arrays_but_never_pixels():
+    table = ([4, 4, 9], [0, 1, 3], [[0.0, 1.0, 0.0], [2.0, -0.0, 0.0], [5e-324, 3.0, 0.0]])
+    first = _set(*table, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    second = _set(*table, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.5]])
+    third = CorrespondenceSet(second.tag_ids, second.corner_idx, second.ref, second.img)
+    for name in FIELDS[:3]:
+        assert getattr(second, name) is getattr(first, name)
+        assert getattr(third, name) is getattr(first, name)
+    assert not np.shares_memory(second.img, first.img)
+    assert not np.shares_memory(third.img, second.img)
+    # -0.0 equals 0.0 but has other bytes: a new table.
+    flipped = _set(*table[:2], [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [5e-324, 3.0, 0.0]],
+                   second.img)
+    assert flipped.ref is not first.ref and flipped.ref[1, 1].tobytes() == b"\0" * 8
+
+
+@pytest.mark.parametrize("defect", ["nan_img", "duplicate"])
+def test_a_set_that_fails_does_not_become_the_memo(defect):
+    earlier = _set([1, 2], [0, 0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
+    table = ([7, 7, 8], [0, 1, 2]) if defect == "nan_img" else ([7, 7, 8], [0, 0, 2])
+    ref = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    img = [[np.nan, 0.0], [1.0, 0.0], [2.0, 0.0]] if defect == "nan_img" else np.zeros((3, 2))
+    message = "finite" if defect == "nan_img" else "duplicate"
+    with pytest.raises(ValidationFailure, match=message):
+        _set(*table, ref, img)
+    assert all(a is getattr(earlier, f) for a, f in zip(pnp._last_table, FIELDS))
+    if defect == "duplicate":
+        with pytest.raises(ValidationFailure, match="duplicate"):
+            _set(*table, ref, np.ones((3, 2)))
+    else:
+        again = _set(*table, ref, np.ones((3, 2)))
+        assert again.tag_ids is not earlier.tag_ids
+        assert pnp._last_table[0] is again.tag_ids
+
