@@ -86,7 +86,8 @@ class AxisModel:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Six fitted axis models plus the split protocol that produced them."""
+    """Six fitted axis models, ``models[i]`` that of wrench axis i, plus the
+    split protocol that produced them."""
 
     models: tuple[AxisModel, ...]
     split_fraction: float
@@ -94,18 +95,11 @@ class CalibrationReport:
     sample_count: int
 
     def __post_init__(self) -> None:
-        if len(self.models) != 6:
-            raise ValidationFailure("report must contain exactly 6 axis models")
-        if sorted(m.axis for m in self.models) != list(range(6)):
-            raise ValidationFailure("report must contain one model per wrench axis")
+        if [m.axis for m in self.models] != list(range(6)):
+            raise ValidationFailure(
+                "report must list one model per wrench axis, in axis order 0..5")
         if not 0 < self.split_fraction < 1:
             raise ValidationFailure(f"split_fraction must be in (0, 1), got {self.split_fraction}")
-
-    def model_for_axis(self, axis: int) -> AxisModel:
-        for m in self.models:
-            if m.axis == axis:
-                return m
-        raise ValidationFailure(f"no model for axis {axis}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -341,6 +341,10 @@ def _solver_summary(estimates: list[PoseEstimate]) -> str:
     return f"{not_converged} not converged, {iterations:.2f} LM iterations per frame"
 
 
+def _r2_summary(report: CalibrationReport) -> str:
+    return "r2_test per axis: " + ", ".join(f"{m.axis}:{m.r2_test:.5f}" for m in report.models)
+
+
 def _cmd_estimate(args) -> int:
     camera = _load_config(args.camera, default_camera, PinholeCamera.from_dict, "camera")
     frames = _load_jsonl(Path(args.frames), lambda row: (
@@ -369,7 +373,7 @@ def _write_scatter_csv(path: Path, x: np.ndarray, y: np.ndarray,
         writer = csv.writer(fh)
         writer.writerow(["wrench_axis", "sample", "actual", "predicted", "subset"])
         for axis in range(6):
-            predicted = report.model_for_axis(axis).predict(x)
+            predicted = report.models[axis].predict(x)
             for i, (actual, value) in enumerate(zip(y[:, axis].tolist(), predicted.tolist())):
                 writer.writerow([axis, i, repr(actual), repr(value),
                                  "train" if i in train_set else "test"])
@@ -381,21 +385,20 @@ def _cmd_calibrate(args) -> int:
     _dump_json(Path(args.out), report.to_dict())
     if args.scatter_csv:
         _write_scatter_csv(Path(args.scatter_csv), x, y, report)
-    _info(args, "r2_test per axis: " + ", ".join(
-        f"{m.axis}:{m.r2_test:.5f}" for m in report.models))
+    _info(args, _r2_summary(report))
     return 0
 
 
 # ------------------------------------------------------------ sensitivity
 
 def _sensitivity_payload(params: DetectionParams, report: CalibrationReport) -> dict:
-    result = analyze(params, report)
+    pose_floor, wrench_floor = analyze(params, report)
     return {
-        "delta_l_min_mm": result.delta_l_min,
-        "delta_theta_min_rad": result.delta_theta_min,
-        "pose_floor": result.pose_floor.as_array().tolist(),
+        "delta_l_min_mm": pose_floor.dl_x,
+        "delta_theta_min_rad": pose_floor.dtheta_x,
+        "pose_floor": pose_floor.as_array().tolist(),
         "euler_convention": EULER_CONVENTION,
-        "wrench_floor": result.wrench_floor.as_array().tolist(),
+        "wrench_floor": wrench_floor.as_array().tolist(),
         "units": {"force": "mN", "torque": "mN*m (= N*mm)"},
         "params": params.to_dict(),
     }
@@ -491,8 +494,7 @@ def _cmd_pipeline(args) -> int:
     report, took = _stage("calibrate", calibrate, deltas, wrenches, split_fraction=args.split,
                           seed=derive_seed(args.seed, "calibrate") % 2**32)
     _dump_json(out_dir / "calib.json", report.to_dict())
-    _info(args, f"calibrated in {took:.3g} s; r2_test per axis: " + ", ".join(
-        f"{m.axis}:{m.r2_test:.5f}" for m in report.models))
+    _info(args, f"calibrated in {took:.3g} s; {_r2_summary(report)}")
 
     payload, took = _stage("sensitivity", _sensitivity_payload, DetectionParams(), report)
     _dump_json(out_dir / "sensitivity.json", payload)

@@ -30,7 +30,7 @@ from .errors import (
     read_integer,
     read_number,
 )
-from .pnp import _INT64
+from .pnp import _TAG_ID_MESSAGES, _int64s
 
 _RING_COUNT = 26  # tags on the ring around the 3x3 grid of default_layout
 # Local corner order: counter-clockwise from bottom-left, unit half-size.
@@ -61,9 +61,7 @@ class TagLayout:
         if self.tag_size <= 0 or self.border < 0:
             raise ValidationFailure("tag_size must be positive and border non-negative")
         ids = [t.tag_id for t in self.tags]
-        outside = [i for i in ids if not _INT64.min <= i <= _INT64.max]
-        if outside:
-            raise ValidationFailure(f"tag ids must fit in int64, got {outside[0]}")
+        _int64s(ids, *_TAG_ID_MESSAGES)  # every CorrespondenceSet holds them as int64
         if len(ids) != len(set(ids)):
             raise ValidationFailure("tag ids must be unique within a layout")
         self._check_overlap()

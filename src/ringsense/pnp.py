@@ -109,23 +109,27 @@ _DAMPING_DOWN = 1.0 / 3.0
 _EYE6 = np.eye(6)
 _EYE6.setflags(write=False)
 _INT64 = np.iinfo(np.int64)  # tag ids and corner indices are int64 in every CorrespondenceSet
+_TAG_ID_MESSAGES = ("tag ids must fit in int64, got {}", "tag ids must be integers, got {}")
 # The (tag_ids, corner_idx, ref) of the last valid CorrespondenceSet: read-only
 # copies that its constructor made, never an array a caller passed in.
 _last_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
-def _int64s(values, message: str) -> np.ndarray:
-    """``values`` as an int64 array, the caller's own when it already is one;
-    a value outside int64 raises ``message`` formatted with the first such
-    value."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        outside = next((v for v in np.array(values, dtype=object).ravel().tolist()
-                        if not _INT64.min <= v <= _INT64.max), None)
-        if outside is None:
-            raise
-        raise ValidationFailure(message.format(outside)) from None
+def _int64s(values, outside: str, fractional: str | None = None) -> np.ndarray:
+    """``values`` as an int64 array, the caller's own when it already is one:
+    the one integer rule of tag ids and corner indices. Integer-valued floats
+    convert; a value that the conversion would change raises ``outside`` (an
+    integer outside int64) or ``fractional`` (default ``outside``; anything
+    else), formatted with the first such value."""
+    array = np.asarray(values)
+    if array.dtype == np.int64:
+        return array
+    for v in np.array(values, dtype=object).ravel().tolist():
+        if not (isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()):
+            raise ValidationFailure((fractional or outside).format(v))
+        if not _INT64.min <= v <= _INT64.max:
+            raise ValidationFailure(outside.format(v))
+    return np.asarray(values, dtype=np.int64)
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -139,9 +143,9 @@ class CorrespondenceSet:
 
     Row ``i`` is corner ``corner_idx[i]`` of tag ``tag_ids[i]``, at plate-frame
     point ``ref[i]`` (mm) and observed at pixel ``img[i]``; shapes (n,),
-    (n,), (n, 3) and (n, 2). Structural invariants (ids and corner indices
-    that fit in int64, agreeing shapes, no duplicate (tag_id, corner) pairs,
-    corner index 0..3, finite coordinates) are enforced here. Image-bound
+    (n,), (n, 3) and (n, 2). Structural invariants (integer ids and corner
+    indices that fit in int64, agreeing shapes, no duplicate (tag_id, corner)
+    pairs, corner index 0..3, finite coordinates) are enforced here. Image-bound
     containment is the producer's contract (see the simulator); the solvers
     accept any finite pixel coordinates.
 
@@ -158,7 +162,7 @@ class CorrespondenceSet:
 
     def __post_init__(self) -> None:
         global _last_table
-        table = (_int64s(self.tag_ids, "tag ids must fit in int64, got {}"),
+        table = (_int64s(self.tag_ids, *_TAG_ID_MESSAGES),
                  _int64s(self.corner_idx, "corner_index must be 0..3, got {}"),
                  np.asarray(self.ref, dtype=np.float64))
         last = _last_table

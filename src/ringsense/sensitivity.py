@@ -24,7 +24,7 @@ import numpy as np
 
 from .calibration import CalibrationReport
 from .errors import NumericalFailure, ValidationFailure, check_keys, read_number
-from .geometry import DeformationVector
+from .geometry import DeformationVector, _ANGLE_LIMIT
 from .simulator import Wrench
 
 
@@ -61,7 +61,7 @@ class DetectionParams:
         dl, dth = min_translation(self), min_rotation(self)
         if not 0 < dl < math.inf:
             raise ValidationFailure(f"translation floor must be positive and finite, got {dl} mm")
-        if not 0 < dth < math.pi / 2:
+        if not 0 < dth < _ANGLE_LIMIT:
             raise ValidationFailure(f"rotation floor must lie in (0, pi/2) rad, got {dth}")
 
     def to_dict(self) -> dict:
@@ -74,28 +74,6 @@ class DetectionParams:
         check_keys(data, _FILE_KEYS, "detection params")
         return cls(**{name: read_number(data[key], key) for key, name in _FILE_KEYS.items()
                       if key in data})
-
-
-@dataclass(frozen=True)
-class SensitivityResult:
-    """The 6-vector pose floor and the wrench floor propagated from it. The
-    scalar minima are its translation and rotation entries, positive by the
-    checks of :class:`DetectionParams`."""
-
-    pose_floor: DeformationVector
-    wrench_floor: Wrench
-
-    def __post_init__(self) -> None:
-        if np.any(self.wrench_floor.as_array() <= 0):
-            raise ValidationFailure("wrench floor components must be positive")
-
-    @property
-    def delta_l_min(self) -> float:
-        return self.pose_floor.dl_x
-
-    @property
-    def delta_theta_min(self) -> float:
-        return self.pose_floor.dtheta_x
 
 
 def min_translation(params: DetectionParams) -> float:
@@ -131,17 +109,22 @@ def propagate_wrench_floor(floor: DeformationVector, calibration: CalibrationRep
     Raises:
         NumericalFailure: a component is not finite, as when a weight near
         1e308 overflows.
+        ValidationFailure: a component is zero, as when an axis's six
+        weights are all 0.
     """
-    weights = np.array([calibration.model_for_axis(axis).weights for axis in range(6)])
+    weights = np.array([m.weights for m in calibration.models])
     with np.errstate(over="ignore"):  # an overflow is reported below, naming the axis
         out = np.hypot.reduce(weights * floor.as_array(), axis=1)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise NumericalFailure(f"wrench axis {bad[0]}: weights x pose floor is not finite")
+    if (out <= 0).any():
+        raise ValidationFailure("wrench floor components must be positive")
     return Wrench.from_array(out)
 
 
-def analyze(params: DetectionParams, calibration: CalibrationReport) -> SensitivityResult:
-    """Full analysis: the pose floor and the wrench floor propagated from it."""
+def analyze(params: DetectionParams,
+            calibration: CalibrationReport) -> tuple[DeformationVector, Wrench]:
+    """(pose floor, wrench floor), each checked where it is computed."""
     floor = pose_floor(params)
-    return SensitivityResult(floor, propagate_wrench_floor(floor, calibration))
+    return floor, propagate_wrench_floor(floor, calibration)

@@ -51,7 +51,7 @@ def coupled_compliance(rho):
 
 def stiffness(report):
     """The fitted 6x6 map K, row i the weights of wrench axis i."""
-    return np.array([report.model_for_axis(axis).weights for axis in range(6)])
+    return np.array([m.weights for m in report.models])
 
 
 # ------------------------------------------------------------------ split
@@ -275,6 +275,16 @@ def test_report_round_trip():
     report = calibrate(*make_samples(20), seed=13)
     again = CalibrationReport.from_dict(report.to_dict())
     assert again == report
+
+
+def test_report_lists_its_models_in_axis_order():
+    report = calibrate(*make_samples(20), seed=13)
+    assert [m.axis for m in report.models] == list(range(6))
+    for models in (report.models[::-1], report.models[:5], report.models + report.models[:1]):
+        with pytest.raises(ValidationFailure, match="^report must list one model per wrench "
+                           "axis, in axis order 0..5$"):
+            CalibrationReport(models=models, split_fraction=0.8, split_seed=13,
+                              sample_count=report.sample_count)
 
 
 def test_axis_model_validation():

@@ -548,7 +548,7 @@ def test_null_number_is_a_validation_error(tmp_path, capsys, pipeline_dir, kind,
     for corruption in ("truncated", "missing_key", "non_numeric", "non_object", "nan", "inf",
                        "non_utf8")
     if (kind, corruption) != ("params", "missing_key")  # every params key is optional
-] + [("calib", "nan_coefficient"), ("calib", "inf_coefficient")]
+] + [("calib", "nan_coefficient"), ("calib", "inf_coefficient"), ("calib", "permuted_models")]
   + list(_BAD_VALUES) + list(_UNKNOWN_KEYS))
 def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline_dir, kind,
                                                       corruption):
@@ -563,6 +563,8 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
         payload[key] = float(corruption)
     elif corruption.endswith("_coefficient"):
         payload["models"][3]["weights"][1] = float(corruption[:3])
+    elif corruption == "permuted_models":  # each model still names its own axis
+        payload["models"][1], payload["models"][4] = payload["models"][4], payload["models"][1]
     elif (kind, corruption) in _UNKNOWN_KEYS:
         path, unknown = _UNKNOWN_KEYS[kind, corruption]
         _set_at(payload, [*path, unknown], 3.0)
@@ -584,6 +586,9 @@ def test_malformed_config_files_are_validation_errors(tmp_path, capsys, pipeline
         assert f"unknown keys ['{_UNKNOWN_KEYS[kind, corruption][1]}']" in err
     if corruption == "non_utf8":
         assert err == f"error: {config}: byte 0xff is not UTF-8\n"
+    if corruption == "permuted_models":
+        assert err == (f"error: {config}: bad calibration report: report must list one model "
+                       "per wrench axis, in axis order 0..5\n")
 
 
 def test_camera_and_layout_that_project_off_the_plate_are_both_named(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,29 @@ def test_arrays_are_read_only_copies(fields):
         assert not np.shares_memory(getattr(corrs, name), fields[name])
     with pytest.raises(dataclasses.FrozenInstanceError):
         corrs.img = np.zeros((len(corrs), 2))
+
+
+@pytest.mark.parametrize("tag_ids, corner_idx, message", [
+    ([1.7, 1.2], [0, 1], "tag ids must be integers, got 1.7"),
+    ([1, 2], [0.9, 1.5], "corner_index must be 0..3, got 0.9"),
+    (np.array([2**63, 1], dtype=np.uint64), [0, 1],
+     "tag ids must fit in int64, got 9223372036854775808"),
+    ([np.nan, 1.0], [0, 1], "tag ids must be integers, got nan"),
+    (np.array([np.nan, 1.0]), [0, 1], "tag ids must be integers, got nan"),
+], ids=["fractional_id", "fractional_corner", "uint64_2_63", "nan_id_list", "nan_id_array"])
+def test_integers_the_int64_cast_would_change_rejected(tag_ids, corner_idx, message):
+    # The cast truncates 1.7 and 0.9, wraps 2**63 to -2**63, and fails on a
+    # NaN in a list or makes garbage of one in an array.
+    with pytest.raises(ValidationFailure, match=f"^{re.escape(message)}$"):
+        CorrespondenceSet(tag_ids=tag_ids, corner_idx=corner_idx, ref=np.zeros((2, 3)),
+                          img=np.zeros((2, 2)))
+
+
+def test_integer_valued_floats_convert():
+    corrs = CorrespondenceSet(tag_ids=np.array([3.0, 3.0]), corner_idx=np.arange(2.0),
+                              ref=np.zeros((2, 3)), img=np.zeros((2, 2)))
+    assert corrs.tag_ids.dtype == corrs.corner_idx.dtype == np.int64
+    assert corrs.tag_ids.tolist() == [3, 3] and corrs.corner_idx.tolist() == [0, 1]
 
 
 def oracle_line(frame, corrs):

@@ -114,6 +114,12 @@ def test_tag_ids_outside_int64_rejected(tag_id):
                     TagPlacement(-2**63, (10.0, 0.0), 0.0)))
 
 
+def test_fractional_tag_id_rejected():
+    # Every CorrespondenceSet would truncate 1.5 to tag 1.
+    with pytest.raises(ValidationFailure, match=r"^tag ids must be integers, got 1\.5$"):
+        TagLayout(tags=(TagPlacement(1.5, (0.0, 0.0), 0.0), TagPlacement(2, (10.0, 0.0), 0.0)))
+
+
 def test_overlap_rejected_names_pair():
     with pytest.raises(ValidationFailure, match=r"^tags 3 and 4 are 1 mm apart, "
                        r"within the 2\.4 mm footprint bound$"):

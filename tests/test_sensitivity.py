@@ -136,6 +136,14 @@ def test_propagation_overflow_names_the_axis():
         propagate_wrench_floor(pose_floor(DetectionParams(w_tag=1e4)), slope_report(slopes))
 
 
+def test_zero_weight_row_has_no_wrench_floor():
+    # The report is valid, but axis 2 reads no deformation component.
+    weights = np.eye(6)
+    weights[2] = 0.0
+    with pytest.raises(ValidationFailure, match="^wrench floor components must be positive$"):
+        propagate_wrench_floor(pose_floor(DetectionParams()), weights_report(weights))
+
+
 def test_propagation_is_the_root_sum_square_over_components():
     # A coupled axis: each weight's k_ij * floor_j adds in quadrature.
     rng = np.random.default_rng(5)
@@ -160,17 +168,18 @@ def test_end_to_end_zero_noise_calibration_matches_analytic_floor():
             x.append(deform(compliance, wrench).as_array())
             y.append(wrench.as_array())
     report = calibrate(np.array(x), np.array(y), seed=21)
-    result = analyze(DetectionParams(), report)
+    _, wrench_floor = analyze(DetectionParams(), report)
     analytic = pose_floor(DetectionParams()).as_array() / diag
-    np.testing.assert_allclose(result.wrench_floor.as_array(), analytic, rtol=1e-4)
-    rel = np.abs(result.wrench_floor.as_array() - REFERENCE_WRENCH_FLOOR) / REFERENCE_WRENCH_FLOOR
+    np.testing.assert_allclose(wrench_floor.as_array(), analytic, rtol=1e-4)
+    rel = np.abs(wrench_floor.as_array() - REFERENCE_WRENCH_FLOOR) / REFERENCE_WRENCH_FLOOR
     assert np.max(rel) < 0.01
 
 
 def test_analyze_bundles_consistent_result():
     report = slope_report(1.0 / np.diag(default_compliance().compliance))
-    result = analyze(DetectionParams(), report)
-    assert result.delta_l_min == min_translation(DetectionParams())
-    assert result.delta_theta_min == min_rotation(DetectionParams())
-    assert result.pose_floor.dl_x == result.delta_l_min
-    assert result.wrench_floor.as_array().min() > 0
+    floor, wrench_floor = analyze(DetectionParams(), report)
+    assert floor.dl_x == min_translation(DetectionParams())
+    assert floor.dtheta_x == min_rotation(DetectionParams())
+    assert floor == pose_floor(DetectionParams())
+    assert wrench_floor == propagate_wrench_floor(floor, report)
+    assert wrench_floor.as_array().min() > 0
