@@ -10,9 +10,11 @@ Criteria
   5 occlusion robustness ordering with > 2 standard-error margins
   6 contact monitor trigger frames equal the scan oracle, preset table exact
   7 geometry property suite, 1e4 randomized cases per property
-  8 pipeline determinism: byte-identical reruns
+  8 pipeline determinism: byte-identical reruns, and the criterion-8 files
+    byte-identical to the committed digests
 """
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -266,3 +268,69 @@ def test_criterion_8_pipeline_determinism(noisy_run, noisy_replica):
         for n in names
     )
     check(8, identical, f"{len(names)} output files byte-identical across reruns")
+
+
+# SHA-256 of the criterion-8 files, by chain and file name:
+#   pipeline:  `pipeline --seed 7` (sigma 0.25), as the noisy_run fixture runs it;
+#   replay:    `simulate --seed 3 --occlusion 0.3`, then `estimate` of its frames,
+#              then `monitor --object chip` of those poses;
+#   calibrate: `calibrate --seed 7 --scatter-csv` of the pipeline's
+#              sweep_estimated.csv, then `sensitivity` of that report.
+# A change whose purpose is a format or value change updates this table and
+# says in CHANGES.md which files changed and why; no other change touches it.
+CRITERION_8_DIGESTS = {
+    "pipeline": {
+        "sweep.csv": "0788f6fe56642547910b71201de67c0ed92268c47bc74d68bfdb49793eec8e63",
+        "frames.jsonl": "dec4c8f8937ee30a08ad1d2d52e70bdf727d0addadf5c1b712839bb46ef89a29",
+        "poses.jsonl": "ca72f1cd54b2cf576fb53125616338763986b711035463bc36b5c5f5cd9cf612",
+        "sweep_estimated.csv": "09a3c5792254b17e9f082c38795f2d7b160fe6203a7f839b8aca4c7ee18fbccf",
+        "calib.json": "a499357dfc8d60f7f8fcb35d93a18de2aad18a85ef0f9f7e4c633511b069df95",
+        "sensitivity.json": "5abc6eb7b25ef6c1b389da8b765f20c5fbeffc367e9961411a48b3cbc79478b2",
+        "manifest.json": "5db70562e01017846bb7e12fb04b6b866651d4c4b4078165c57b140ed74f6c95",
+    },
+    "replay": {
+        "sweep.csv": "0788f6fe56642547910b71201de67c0ed92268c47bc74d68bfdb49793eec8e63",
+        "frames.jsonl": "914b5ac9e0ee72a3580759fc83f19e31d9ca8f9f2805a2e7b598d653670de6d8",
+        "manifest.json": "89104224eb61bcefca2b248e48c3bcb499530b0dfc15b80fc3c02f8224d1d183",
+        "poses.jsonl": "41d6126ee7a870e0d9736556eadb52f42edf34f59e862ecd1f011f8ce11cd72c",
+        "episode.json": "afd32fdcc083769c31613b2c26aae9c2fb1e07a7bbbf022c19ca4b1d197ebb48",
+    },
+    "calibrate": {
+        "calib.json": "dcbfc16a5d1225ede1c454480e48261148ec959a4192bc87929246732682a24e",
+        "scatter.csv": "7465a08824e221d48ff2765560ac67baca2911faae704b8e407c76d64af86966",
+        "sensitivity.json": "7dcd6547818ccebb9516803d2f2c6af434890f498c2ed83aec5899e953e2602c",
+    },
+}
+
+
+def test_criterion_8_outputs_match_committed_digests(noisy_run, tmp_path):
+    replay, calib = tmp_path / "replay", tmp_path / "calibrate"
+    calib.mkdir()
+    for argv in (
+        ["simulate", "--seed", "3", "--occlusion", "0.3", "--out", str(replay)],
+        ["estimate", "--frames", str(replay / "frames.jsonl"),
+         "--out", str(replay / "poses.jsonl")],
+        ["monitor", "--object", "chip", "--poses", str(replay / "poses.jsonl"),
+         "--out", str(replay / "episode.json")],
+        ["calibrate", "--data", str(noisy_run / "sweep_estimated.csv"), "--seed", "7",
+         "--scatter-csv", str(calib / "scatter.csv"), "--out", str(calib / "calib.json")],
+        ["sensitivity", "--calib", str(calib / "calib.json"),
+         "--out", str(calib / "sensitivity.json")],
+    ):
+        assert main([*argv, "--quiet"]) == 0, argv[0]
+
+    dirs = {"pipeline": noisy_run, "replay": replay, "calibrate": calib}
+    mismatches = []
+    for chain, digests in CRITERION_8_DIGESTS.items():
+        for name, expected in digests.items():
+            actual = hashlib.sha256((dirs[chain] / name).read_bytes()).hexdigest()
+            if actual != expected:
+                mismatches.append(f"{chain}/{name}: expected {expected}, got {actual}")
+    count = sum(map(len, CRITERION_8_DIGESTS.values()))
+    check(8, not mismatches,
+          f"{count - len(mismatches)} of {count} files match their committed digests"
+          + "".join(f"; {m}" for m in mismatches)
+          + ("" if not mismatches else
+             "; the digests are a contract for the OpenBLAS kernels of the CPU they were "
+             "computed on (Haswell, DYNAMIC_ARCH), so another CPU may differ in the last "
+             "digit of a float without a change to ringsense"))
