@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import operator
 import sys
 import time
+from collections import Counter
+from contextlib import closing
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +58,13 @@ from .geometry import (
 from .layout import TagLayout, default_layout
 # estimate_pose is not called here; the benchmark's tracer patches it in every
 # importing module, and benchmarks/tests checks that through this one.
-from .pnp import CorrespondenceSet, PoseEstimate, estimate_pose, estimate_poses  # noqa: F401
+from .pnp import (  # noqa: F401
+    CHUNK_FRAMES,
+    CorrespondenceSet,
+    PoseEstimate,
+    estimate_pose,
+    estimate_poses,
+)
 from .sensitivity import DetectionParams, analyze
 from .simulator import (
     ComplianceModel,
@@ -87,8 +96,12 @@ def _dump_json(path: Path, payload) -> None:
 
 def _dump_jsonl(path: Path, rows) -> None:
     with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        _write_jsonl(fh, rows)
+
+
+def _write_jsonl(fh, rows) -> None:
+    for row in rows:
+        fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 # What a decoder, a parser or a ``from_dict`` raises on a malformed input file.
@@ -225,15 +238,19 @@ def _corrs_from_row(row: dict) -> CorrespondenceSet:
     )
 
 
-def _write_sweep_csv(path: Path, axes, magnitudes, wrenches: np.ndarray,
-                     deltas: np.ndarray) -> None:
+def _sweep_csv(fh):
+    """A csv writer on ``fh`` that has written the sweep CSV header."""
+    writer = csv.writer(fh)
+    writer.writerow(SWEEP_HEADER)
+    return writer
+
+
+def _write_sweep_rows(writer, axes, magnitudes, wrenches: np.ndarray,
+                      deltas: np.ndarray) -> None:
     """One row per sample: axis, magnitude, then its rows of ``wrenches`` and ``deltas``."""
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        for axis, magnitude, wrench, delta in zip(axes, magnitudes, wrenches.tolist(),
-                                                  deltas.tolist()):
-            writer.writerow([axis, repr(magnitude)] + [repr(v) for v in wrench + delta])
+    for axis, magnitude, wrench, delta in zip(axes, magnitudes, wrenches.tolist(),
+                                              deltas.tolist()):
+        writer.writerow([axis, repr(magnitude)] + [repr(v) for v in wrench + delta])
 
 
 def _read_sweep_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -285,31 +302,48 @@ def _cmd_layout(args) -> int:
 
 # -------------------------------------------------------------- simulate
 
-def _run_sweeps(camera, layout, reference, compliance, noise_sigma, occlusion, seed,
-                axes: list[int], samples_per_axis: int, span: float):
-    """One sweep per axis of ``axes``, concatenated: the axis and magnitude of
-    each frame as two lists, the wrenches and deformations as two (n, 6)
-    arrays, and the n frames."""
+def _sweep_plan(compliance, noise_sigma, occlusion, seed, axes, samples_per_axis: int,
+                span: float):
+    """The noise model and the (axis, magnitudes) of each sweep of a run: every
+    setting is checked before a frame is drawn or an output allocated."""
     noise = NoiseModel(corner_sigma=noise_sigma, occlusion_probability=occlusion,
                        seed=derive_seed(seed, "simulate"))
-    frame_axes, magnitudes, wrenches, deformations, frames = [], [], [], [], []
-    for axis in axes:
-        axis_mags = axis_magnitudes(compliance, axis, samples_per_axis, span)
-        w, d, f = sweep_dataset(axis, axis_mags, camera, layout, reference, compliance, noise)
-        frame_axes += [axis] * len(f)
-        magnitudes += axis_mags.tolist()
-        wrenches.append(w)
-        deformations.append(d)
-        frames += f
-    return frame_axes, magnitudes, np.concatenate(wrenches), np.concatenate(deformations), frames
+    return noise, [(axis, axis_magnitudes(compliance, axis, samples_per_axis, span))
+                   for axis in axes]
 
 
-def _write_simulation(out_dir: Path, axes, magnitudes, wrenches: np.ndarray,
-                      deformations: np.ndarray, frames: list[CorrespondenceSet]) -> None:
-    """Write sweep.csv and frames.jsonl, one row per frame."""
-    _write_sweep_csv(out_dir / "sweep.csv", axes, magnitudes, wrenches, deformations)
-    with (out_dir / "frames.jsonl").open("w", encoding="utf-8") as fh:
-        fh.writelines(_frame_lines(enumerate(frames)))
+def _write_sweep(sweep_csv, frames_fh, first: int, axis: int, magnitudes: np.ndarray,
+                 wrenches: np.ndarray, deformations: np.ndarray,
+                 frames: list[CorrespondenceSet]) -> None:
+    """Append one sweep to sweep.csv and frames.jsonl; its frames are numbered from ``first``."""
+    _write_sweep_rows(sweep_csv, repeat(axis), magnitudes.tolist(), wrenches, deformations)
+    frames_fh.writelines(_frame_lines(enumerate(frames, first)))
+
+
+def _unstaged(_stage: str, fn, *fn_args):
+    return fn(*fn_args)
+
+
+def _simulated_frames(out_dir: Path, plan, camera, layout, reference, compliance, noise,
+                      run=_unstaged):
+    """Draw the sweep of each (axis, magnitudes) of ``plan`` in turn, append it to
+    sweep.csv and frames.jsonl in ``out_dir``, then yield its frames in run order,
+    each as (axis, magnitude, wrench, frame). One sweep is held at a time.
+    ``run(stage, fn, *args)`` makes each call: drawing a sweep is stage
+    'simulate', writing it 'write'."""
+    with (out_dir / "sweep.csv").open("w", encoding="utf-8", newline="") as sweep_fh, \
+            (out_dir / "frames.jsonl").open("w", encoding="utf-8") as frames_fh:
+        sweep_csv = _sweep_csv(sweep_fh)
+        first = 0
+        for axis, magnitudes in plan:
+            wrenches, deformations, frames = run("simulate", sweep_dataset, axis, magnitudes,
+                                                 camera, layout, reference, compliance, noise)
+            run("write", _write_sweep, sweep_csv, frames_fh, first, axis, magnitudes,
+                wrenches, deformations, frames)
+            yield from zip(repeat(axis), magnitudes.tolist(), wrenches, frames)
+            first += len(frames)
+            # Not held while the next sweep is drawn.
+            del wrenches, deformations, frames
 
 
 def _cmd_simulate(args) -> int:
@@ -322,23 +356,29 @@ def _cmd_simulate(args) -> int:
     given = {what: path for what, path in (("camera", args.camera), ("layout", args.layout))
              if path is not None}
     _check_plate_projects(given, camera, layout, reference, compliance)
-    axes = list(range(6)) if args.axis == "all" else [int(args.axis)]
+    axes = range(6) if args.axis == "all" else [int(args.axis)]
 
-    sweep = _run_sweeps(camera, layout, reference, compliance, args.sigma,
-                        args.occlusion, args.seed, axes, args.samples_per_axis, args.span)
-    _write_simulation(out_dir, *sweep)
+    noise, plan = _sweep_plan(compliance, args.sigma, args.occlusion, args.seed, axes,
+                              args.samples_per_axis, args.span)
+    count = sum(1 for _ in _simulated_frames(out_dir, plan, camera, layout, reference,
+                                             compliance, noise))
     _write_manifest(out_dir, args, camera, layout, reference, given,
                     axis=args.axis, occlusion=args.occlusion)
-    _info(args, f"wrote {len(sweep[-1])} frames to {out_dir}")
+    _info(args, f"wrote {count} frames to {out_dir}")
     return 0
 
 
 # -------------------------------------------------------------- estimate
 
-def _solver_summary(estimates: list[PoseEstimate]) -> str:
-    not_converged = sum(not e.converged for e in estimates)
-    iterations = sum(e.iterations_used for e in estimates) / max(len(estimates), 1)
-    return f"{not_converged} not converged, {iterations:.2f} LM iterations per frame"
+def _solver_tally(estimates: list[PoseEstimate]) -> Counter:
+    """The counts ``_solver_summary`` reports; the tallies of a run's pieces add up."""
+    return Counter(frames=len(estimates), not_converged=sum(not e.converged for e in estimates),
+                   iterations=sum(e.iterations_used for e in estimates))
+
+
+def _solver_summary(tally: Counter) -> str:
+    iterations = tally["iterations"] / max(tally["frames"], 1)
+    return f"{tally['not_converged']} not converged, {iterations:.2f} LM iterations per frame"
 
 
 def _r2_summary(report: CalibrationReport) -> str:
@@ -359,7 +399,8 @@ def _cmd_estimate(args) -> int:
                                allow_single_tag=args.allow_single_tag)
     _dump_jsonl(Path(args.out), ({"frame": frame, **estimate.to_dict()}
                                  for (frame, _), estimate in zip(frames, estimates)))
-    _info(args, f"estimated {len(estimates)} poses to {args.out}; {_solver_summary(estimates)}")
+    _info(args, f"estimated {len(estimates)} poses to {args.out}; "
+                f"{_solver_summary(_solver_tally(estimates))}")
     return 0
 
 
@@ -458,13 +499,16 @@ def _cmd_monitor(args) -> int:
 
 # ---------------------------------------------------------------- pipeline
 
-def _stage(name: str, fn, *fn_args, **fn_kwargs):
-    """``fn``'s result and wall time in seconds; a RingSenseError names the stage."""
+def _stage(took: dict[str, float], name: str, fn, *fn_args, **fn_kwargs):
+    """``fn``'s result; its wall time in seconds adds to ``took[name]``, and a
+    RingSenseError names the stage."""
     start = time.perf_counter()
     try:
-        return fn(*fn_args, **fn_kwargs), time.perf_counter() - start
+        return fn(*fn_args, **fn_kwargs)
     except RingSenseError as exc:
         raise type(exc)(f"stage '{name}': {exc}") from exc
+    finally:
+        took[name] = took.get(name, 0.0) + time.perf_counter() - start
 
 
 def _cmd_pipeline(args) -> int:
@@ -475,30 +519,45 @@ def _cmd_pipeline(args) -> int:
     compliance = default_compliance()
     reference = default_reference_pose()
 
-    (axes, magnitudes, wrenches, deformations, frames), took = _stage(
-        "simulate", _run_sweeps, camera, layout, reference, compliance,
-        args.sigma, 0.0, args.seed, list(range(6)), args.samples_per_axis, args.span)
-    _info(args, f"simulated {len(frames)} frames in {took:.3g} s")
-    _, took = _stage("write", _write_simulation, out_dir, axes, magnitudes, wrenches,
-                     deformations, frames)
-    _info(args, f"wrote sweep.csv and frames.jsonl in {took:.3g} s")
+    took: dict[str, float] = {}
+    stage = functools.partial(_stage, took)
 
-    estimates, took = _stage("estimate", estimate_poses, camera, frames)
-    _dump_jsonl(out_dir / "poses.jsonl",
-                ({"frame": i, **e.to_dict()} for i, e in enumerate(estimates)))
-    deltas = np.array([delta_from_poses(reference, e.pose).as_array()
-                       for e in estimates]).reshape(-1, 6)
-    _write_sweep_csv(out_dir / "sweep_estimated.csv", axes, magnitudes, wrenches, deltas)
-    _info(args, f"estimated {len(estimates)} poses in {took:.3g} s; {_solver_summary(estimates)}")
+    noise, plan = stage("simulate", _sweep_plan, compliance, args.sigma, 0.0, args.seed,
+                        range(6), args.samples_per_axis, args.span)
+    count = sum(len(magnitudes) for _, magnitudes in plan)
+    wrenches, deltas = np.empty((count, 6)), np.empty((count, 6))
+    tally = Counter()
+    # Chunks of CHUNK_FRAMES frames counted over the whole run, so a chunk may
+    # span two sweeps: the chunks, and so the poses, are those of estimate_poses
+    # on the whole run.
+    with closing(_simulated_frames(out_dir, plan, camera, layout, reference, compliance,
+                                   noise, stage)) as frames, \
+            (out_dir / "poses.jsonl").open("w", encoding="utf-8") as poses_fh, \
+            (out_dir / "sweep_estimated.csv").open("w", encoding="utf-8", newline="") as est_fh:
+        estimated_csv = _sweep_csv(est_fh)
+        for chunk in iter(lambda: list(islice(frames, CHUNK_FRAMES)), []):
+            axes, magnitudes, chunk_wrenches, chunk_frames = zip(*chunk)
+            estimates = stage("estimate", estimate_poses, camera, chunk_frames)
+            rows = slice(tally["frames"], tally["frames"] + len(chunk))
+            _write_jsonl(poses_fh, ({"frame": i, **e.to_dict()}
+                                    for i, e in enumerate(estimates, rows.start)))
+            wrenches[rows] = chunk_wrenches
+            deltas[rows] = [delta_from_poses(reference, e.pose).as_array() for e in estimates]
+            _write_sweep_rows(estimated_csv, axes, magnitudes, wrenches[rows], deltas[rows])
+            tally.update(_solver_tally(estimates))
+    _info(args, f"simulated {tally['frames']} frames in {took['simulate']:.3g} s")
+    _info(args, f"wrote sweep.csv and frames.jsonl in {took['write']:.3g} s")
+    _info(args, f"estimated {tally['frames']} poses in {took.get('estimate', 0.0):.3g} s; "
+                f"{_solver_summary(tally)}")
 
-    report, took = _stage("calibrate", calibrate, deltas, wrenches, split_fraction=args.split,
-                          seed=derive_seed(args.seed, "calibrate") % 2**32)
+    report = stage("calibrate", calibrate, deltas, wrenches, split_fraction=args.split,
+                   seed=derive_seed(args.seed, "calibrate") % 2**32)
     _dump_json(out_dir / "calib.json", report.to_dict())
-    _info(args, f"calibrated in {took:.3g} s; {_r2_summary(report)}")
+    _info(args, f"calibrated in {took['calibrate']:.3g} s; {_r2_summary(report)}")
 
-    payload, took = _stage("sensitivity", _sensitivity_payload, DetectionParams(), report)
+    payload = stage("sensitivity", _sensitivity_payload, DetectionParams(), report)
     _dump_json(out_dir / "sensitivity.json", payload)
-    _info(args, f"analyzed sensitivity in {took:.3g} s")
+    _info(args, f"analyzed sensitivity in {took['sensitivity']:.3g} s")
 
     _write_manifest(out_dir, args, camera, layout, reference, {}, split=args.split)
     _info(args, f"wrote pipeline outputs to {out_dir}")

@@ -94,7 +94,7 @@ _PLANAR_TOL = 1e-7
 # EPnP control-point pairs i < j, as (first, second) index arrays.
 _CONTROL_PAIRS = np.triu_indices(3, 1)
 # Frames solved together: bounds the stacked arrays, and so the memory, of one chunk.
-CHUNK_FRAMES = 64
+CHUNK_FRAMES = 32
 # Levenberg-Marquardt settings; they converge well below the noise floor on
 # 140-corner problems. The loops read them at call time.
 _MAX_ITERATIONS = 50

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ringsense.calibration import AxisModel, CalibrationReport
-from ringsense.cli import _read_sweep_csv, _write_sweep_csv, main
+from ringsense.cli import _read_sweep_csv, _sweep_csv, _write_sweep_rows, main
 from ringsense.geometry import default_camera
 from ringsense.layout import default_layout
 from ringsense.sensitivity import DetectionParams
@@ -846,8 +846,9 @@ def test_sweep_csv_round_trip(tmp_path, data):
     deltas = np.hstack([translations, rotations])
     n = len(wrenches)
     path = tmp_path / "sweep.csv"
-    _write_sweep_csv(path, [i % 6 for i in range(n)], [float(i) for i in range(n)],
-                     wrenches, deltas)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        _write_sweep_rows(_sweep_csv(fh), [i % 6 for i in range(n)],
+                          [float(i) for i in range(n)], wrenches, deltas)
     x, y = _read_sweep_csv(path)
     assert x.shape == y.shape == (n, 6)
     np.testing.assert_array_equal(x, deltas)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsense.cli import _run_sweeps
+from ringsense.cli import _simulated_frames, _sweep_plan
 from ringsense.errors import TooFewTagsVisible, ValidationFailure
 
 from ringsense.geometry import DeformationVector, apply_delta
@@ -266,13 +266,16 @@ def test_sweep_paper_scale_sample_count(camera, layout, reference_pose, complian
     assert total == 1020
 
 
-def test_run_sweeps_paper_scale_returns_1020_frames(camera, layout, reference_pose, compliance):
-    axes, magnitudes, wrenches, deformations, frames = _run_sweeps(
-        camera, layout, reference_pose, compliance, 0.25, 0.0, 7, list(range(6)), 170, 0.8)
+def test_simulated_frames_paper_scale_returns_1020_frames(tmp_path, camera, layout,
+                                                         reference_pose, compliance):
+    noise, plan = _sweep_plan(compliance, 0.25, 0.0, 7, range(6), 170, 0.8)
+    axes, magnitudes, wrenches, frames = zip(*_simulated_frames(
+        tmp_path, plan, camera, layout, reference_pose, compliance, noise))
+    wrenches = np.array(wrenches)
     assert len(axes) == 1020
     assert len(magnitudes) == 1020
     assert wrenches.shape == (1020, 6)
-    assert deformations.shape == (1020, 6)
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1021
     assert len(frames) == 1020
     rows = np.arange(1020)
     off_axis = wrenches.copy()
