@@ -19,7 +19,7 @@ and does no trigonometry and no search over the tags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,8 +60,11 @@ class TagLayout:
             raise ValidationFailure("tag_size, border, tag centers and yaws must be finite")
         if self.tag_size <= 0 or self.border < 0:
             raise ValidationFailure("tag_size must be positive and border non-negative")
-        ids = [t.tag_id for t in self.tags]
-        _int64s(ids, *_TAG_ID_MESSAGES)  # every CorrespondenceSet holds them as int64
+        # Every CorrespondenceSet holds tag ids as int64; the tags keep them as
+        # ints, so an id given as 1.0 is written as 1.
+        ids = _int64s([t.tag_id for t in self.tags], *_TAG_ID_MESSAGES).tolist()
+        object.__setattr__(self, "tags", tuple(
+            replace(t, tag_id=i) for t, i in zip(self.tags, ids)))
         if len(ids) != len(set(ids)):
             raise ValidationFailure("tag ids must be unique within a layout")
         self._check_overlap()

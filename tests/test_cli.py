@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from ringsense.calibration import AxisModel, CalibrationReport
 from ringsense.cli import _read_sweep_csv, _sweep_csv, _write_sweep_rows, main
 from ringsense.geometry import default_camera
-from ringsense.layout import default_layout
+from ringsense.layout import TagLayout, default_layout
 from ringsense.sensitivity import DetectionParams
 
 REFERENCE_WRENCH_FLOOR = np.array([4.30, 4.22, 9.93, 0.32, 0.13, 8.55])
@@ -41,6 +42,14 @@ def test_layout_emit(tmp_path):
     data = read_json(out)
     assert len(data["tags"]) == 35
     assert data["tag_size_mm"] == 2.0
+
+
+def test_layout_emit_without_out_prints_the_layout(capsys):
+    assert main(["layout", "emit"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == json.dumps(default_layout().to_dict(), sort_keys=True, indent=2) + "\n"
+    assert TagLayout.from_dict(json.loads(out)) == default_layout()
 
 
 def test_layout_emit_overlapping_radius_fails(tmp_path, capsys):
@@ -255,6 +264,47 @@ def test_extreme_split_names_the_starved_side(tmp_path, capsys, pipeline_dir, ar
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+
+
+def test_failed_pipeline_keeps_the_rows_written_and_no_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["pipeline", "--samples-per-axis", "10", "--split", "1e-9",
+               "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: stage 'calibrate': ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "frames.jsonl", "poses.jsonl", "sweep.csv", "sweep_estimated.csv"]
+    assert len(read_jsonl(out / "poses.jsonl")) == 60
+
+
+def test_pipeline_poses_equal_estimate_of_its_frames(tmp_path):
+    # 65 frames per axis: a chunk restarted at each sweep would end every
+    # sweep with a chunk of one frame, which LM solves with its per-frame
+    # loop; chunks counted over the run are estimate's own.
+    out = tmp_path / "pipe"
+    assert main(["pipeline", "--seed", "7", "--samples-per-axis", "65",
+                 "--out", str(out), "--quiet"]) == 0
+    assert main(["estimate", "--frames", str(out / "frames.jsonl"),
+                 "--out", str(tmp_path / "poses.jsonl"), "--quiet"]) == 0
+    assert (tmp_path / "poses.jsonl").read_bytes() == (out / "poses.jsonl").read_bytes()
+
+
+def test_pipeline_memory_grows_by_less_than_a_sweep_with_run_length(tmp_path):
+    # A warm pass first: imports and the solver memos are not part of a run.
+    assert main(["pipeline", "--samples-per-axis", "20", "--out", str(tmp_path / "warm"),
+                 "--quiet"]) == 0
+    peaks = []
+    for samples in (170, 340):
+        tracemalloc.start()
+        try:
+            assert main(["pipeline", "--seed", "7", "--samples-per-axis", str(samples),
+                         "--out", str(tmp_path / str(samples)), "--quiet"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Holding the run grows the peak by about 3.2 MB here; one sweep of 340
+    # frames and the (n, 6) arrays grow it by about 0.45 MB.
+    assert peaks[1] - peaks[0] < 1_000_000, peaks
 
 
 def test_pipeline_zero_noise_r2(tmp_path):

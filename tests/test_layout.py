@@ -120,6 +120,15 @@ def test_fractional_tag_id_rejected():
         TagLayout(tags=(TagPlacement(1.5, (0.0, 0.0), 0.0), TagPlacement(2, (10.0, 0.0), 0.0)))
 
 
+def test_integer_valued_float_id_is_stored_as_an_int():
+    # 1.0 is tag 1 in every CorrespondenceSet; written as 1.0, from_dict would reject it.
+    layout = TagLayout(tags=(TagPlacement(1.0, (0.0, 0.0), 0.0),
+                             TagPlacement(2, (5.0, 0.0), 0.0)))
+    data = layout.to_dict()
+    assert [type(t["id"]) for t in data["tags"]] == [int, int]
+    assert TagLayout.from_dict(data) == layout
+
+
 def test_overlap_rejected_names_pair():
     with pytest.raises(ValidationFailure, match=r"^tags 3 and 4 are 1 mm apart, "
                        r"within the 2\.4 mm footprint bound$"):

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 from ringsense.cli import _simulated_frames, _sweep_plan
 from ringsense.errors import TooFewTagsVisible, ValidationFailure
 
-from ringsense.geometry import DeformationVector, apply_delta
-from ringsense.layout import visible_subset
+from ringsense.geometry import (
+    DeformationVector,
+    RigidTransform,
+    apply_delta,
+    rotation_from_euler_xyz,
+)
+from ringsense.layout import corners_ref, visible_subset
 from ringsense.pnp import estimate_pose
 from ringsense.simulator import (
     ComplianceModel,
@@ -192,6 +197,17 @@ def test_synthesize_corner_out_of_image(camera, layout, reference_pose, complian
         synthesize_frame(narrow, layout, reference_pose,
                          Wrench(0, 0, 0, 0, 0, 0), compliance,
                          NoiseModel(corner_sigma=0.0, seed=0))
+
+
+def test_project_layout_names_the_first_tag_behind_the_camera(camera, layout):
+    # Tilted 1.2 rad about y, 5 mm out: the far side of the plate crosses z = 0.
+    pose = RigidTransform(rotation_from_euler_xyz(0.0, 1.2, 0.0), np.array([0.0, 0.0, 5.0]))
+    behind = [t.tag_id for t in layout.tags
+              if (pose.apply(corners_ref(layout, t.tag_id))[:, 2] <= 0).any()]
+    assert behind and behind[0] != layout.tags[0].tag_id
+    with pytest.raises(ValidationFailure,
+                       match=rf"^tag {behind[0]} has corners behind the camera$"):
+        project_layout(camera, layout, pose)
 
 
 @pytest.mark.parametrize("size", [10, 34, 36, 50])
