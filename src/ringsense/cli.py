@@ -4,8 +4,8 @@ Subcommands: layout, simulate, estimate, calibrate, sensitivity, monitor,
 pipeline. All randomness flows from the --seed of simulate, calibrate and
 pipeline; per-stage seeds are derived by stable hashing of (seed, stage
 name). Commands that write into an output directory leave exactly one
-manifest.json there; re-running with identical arguments reproduces
-byte-identical numeric outputs. frames.jsonl rows are formatted from a
+manifest.json there, written last, so it marks a complete run; re-running
+with identical arguments reproduces byte-identical numeric outputs. frames.jsonl rows are formatted from a
 per-layout template, byte-identical to json.dumps(row, sort_keys=True).
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O failure.

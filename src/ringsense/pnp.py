@@ -18,12 +18,19 @@ stages:
      avoids Euler singularities inside the solver.
 
 ``estimate_poses`` stacks frames of equal corner count into chunks of up to
-``CHUNK_FRAMES`` (B, n, ...) arrays, once, and runs both stages back to back
-on each chunk; ``estimate_pose`` is ``estimate_poses`` of one frame. EPnP
-solves a chunk of one frame with the same batched code. LM keeps a
+``CHUNK_FRAMES`` (32) (B, n, ...) arrays, once, and runs both stages back to
+back on each chunk; ``estimate_pose`` is ``estimate_poses`` of one frame.
+EPnP solves a chunk of one frame with the same batched code. LM keeps a
 per-frame loop for a chunk of one frame, where it is faster; that loop is
 the reference the batched LM is tested against. A batched estimate matches
 the per-frame one to rounding, not bit for bit.
+
+A chunk's EPnP and LM temporaries are the largest allocation of a
+``pipeline`` run, which holds one sweep and one chunk at a time. With
+32-frame chunks the default run peaks at 3.3 MB under tracemalloc; held
+whole with 64-frame chunks it peaked at 7.9 MB. The smaller chunk costs
+estimate_poses 0.215 against 0.199 ms per frame on 1020 frames (2 CPUs),
+about 1-2% of a pipeline pass.
 
 LM runs with fixed module constants: at most ``_MAX_ITERATIONS`` (50)
 iterations; convergence when an accepted step lowers the cost by a relative
@@ -93,7 +100,10 @@ from .geometry import PinholeCamera, RigidTransform, _pinhole, _proper_transform
 _PLANAR_TOL = 1e-7
 # EPnP control-point pairs i < j, as (first, second) index arrays.
 _CONTROL_PAIRS = np.triu_indices(3, 1)
-# Frames solved together: bounds the stacked arrays, and so the memory, of one chunk.
+# Frames solved together: bounds the stacked arrays, and so the memory, of one
+# chunk. At 32 a default pipeline run peaks at 3.3 MB traced (tracemalloc), one
+# sweep plus one chunk; 64 cost 0.199 against 0.215 ms per frame in
+# estimate_poses (medians of 6 alternated runs on 1020 frames, 2 CPUs).
 CHUNK_FRAMES = 32
 # Levenberg-Marquardt settings; they converge well below the noise floor on
 # 140-corner problems. The loops read them at call time.
