@@ -5,8 +5,9 @@ pipeline. All randomness flows from the --seed of simulate, calibrate and
 pipeline; per-stage seeds are derived by stable hashing of (seed, stage
 name). Commands that write into an output directory leave exactly one
 manifest.json there, written last, so it marks a complete run; re-running
-with identical arguments reproduces byte-identical numeric outputs. frames.jsonl rows are formatted from a
-per-layout template, byte-identical to json.dumps(row, sort_keys=True).
+with identical arguments reproduces byte-identical numeric outputs.
+frames.jsonl rows are formatted from a per-layout template, byte-identical to
+json.dumps(row, sort_keys=True).
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O failure.
 """
@@ -92,11 +93,6 @@ def _info(args, message: str) -> None:
 
 def _dump_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _dump_jsonl(path: Path, rows) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        _write_jsonl(fh, rows)
 
 
 def _write_jsonl(fh, rows) -> None:
@@ -397,8 +393,9 @@ def _cmd_estimate(args) -> int:
             "the first frame projects to non-finite pixels at the reference pose"))
     estimates = estimate_poses(camera, [corrs for _, corrs in frames],
                                allow_single_tag=args.allow_single_tag)
-    _dump_jsonl(Path(args.out), ({"frame": frame, **estimate.to_dict()}
-                                 for (frame, _), estimate in zip(frames, estimates)))
+    with Path(args.out).open("w", encoding="utf-8") as fh:
+        _write_jsonl(fh, ({"frame": frame, **estimate.to_dict()}
+                          for (frame, _), estimate in zip(frames, estimates)))
     _info(args, f"estimated {len(estimates)} poses to {args.out}; "
                 f"{_solver_summary(_solver_tally(estimates))}")
     return 0

@@ -28,9 +28,10 @@ the per-frame one to rounding, not bit for bit.
 A chunk's EPnP and LM temporaries are the largest allocation of a
 ``pipeline`` run, which holds one sweep and one chunk at a time. With
 32-frame chunks the default run peaks at 3.3 MB under tracemalloc; held
-whole with 64-frame chunks it peaked at 7.9 MB. The smaller chunk costs
-estimate_poses 0.215 against 0.199 ms per frame on 1020 frames (2 CPUs),
-about 1-2% of a pipeline pass.
+whole with 64-frame chunks it peaked at 7.9 MB. estimate_poses on 1020
+frames costs about 0.12 ms per frame with either chunk size: in three sets
+of 8 alternated runs (2 CPUs) the medians were 0.118-0.126 ms at 32 and
+0.118-0.123 ms at 64, so the cost of the smaller chunk is within noise.
 
 LM runs with fixed module constants: at most ``_MAX_ITERATIONS`` (50)
 iterations; convergence when an accepted step lowers the cost by a relative
@@ -102,8 +103,8 @@ _PLANAR_TOL = 1e-7
 _CONTROL_PAIRS = np.triu_indices(3, 1)
 # Frames solved together: bounds the stacked arrays, and so the memory, of one
 # chunk. At 32 a default pipeline run peaks at 3.3 MB traced (tracemalloc), one
-# sweep plus one chunk; 64 cost 0.199 against 0.215 ms per frame in
-# estimate_poses (medians of 6 alternated runs on 1020 frames, 2 CPUs).
+# sweep plus one chunk (7.9 MB with the run held and 64); the per-frame cost
+# of estimate_poses is the same to within noise (see the module docstring).
 CHUNK_FRAMES = 32
 # Levenberg-Marquardt settings; they converge well below the noise floor on
 # 140-corner problems. The loops read them at call time.
