@@ -525,8 +525,8 @@ def _cmd_pipeline(args) -> int:
     wrenches, deltas = np.empty((count, 6)), np.empty((count, 6))
     tally = Counter()
     # Chunks of CHUNK_FRAMES frames counted over the whole run, so a chunk may
-    # span two sweeps: the chunks, and so the poses, are those of estimate_poses
-    # on the whole run.
+    # span two sweeps: full chunks are faster than chunks restarted at each
+    # sweep, which would end every sweep with a short one.
     with closing(_simulated_frames(out_dir, plan, camera, layout, reference, compliance,
                                    noise, stage)) as frames, \
             (out_dir / "poses.jsonl").open("w", encoding="utf-8") as poses_fh, \

@@ -21,9 +21,9 @@ stages:
 ``CHUNK_FRAMES`` (32) (B, n, ...) arrays, once, and runs both stages back to
 back on each chunk; ``estimate_pose`` is ``estimate_poses`` of one frame.
 EPnP solves a chunk of one frame with the same batched code. LM keeps a
-per-frame loop for a chunk of one frame, where it is faster; that loop is
-the reference the batched LM is tested against. A batched estimate matches
-the per-frame one to rounding, not bit for bit.
+per-frame loop for a chunk of one frame, where it is faster; it sums costs
+as the batched loop does, so a frame's estimate is the same bits in every
+field whatever frames it is solved with.
 
 A chunk's EPnP and LM temporaries are the largest allocation of a
 ``pipeline`` run, which holds one sweep and one chunk at a time. With
@@ -393,7 +393,9 @@ def _refine_frame(camera, ref, img, rotation, translation) -> PoseEstimate:
     r, pts, ahead = _residuals(camera, rotation, translation, ref, img)
     if not ahead:
         raise NonPositiveDepth("initial pose places points behind the camera")
-    cost = float(r @ r)
+    # Sums of squares reduced as _refine_chunk reduces each row, not dot
+    # products: a frame's estimate is then the same bits in any chunk.
+    cost = float((r * r).sum())
     trace = [cost]
     lam = _INITIAL_DAMPING
     converged = False
@@ -417,21 +419,18 @@ def _refine_frame(camera, ref, img, rotation, translation) -> PoseEstimate:
         cand_rot = _so3_exp(step[3:]) @ rotation
         cand_t = translation + step[:3]
         cand_r, cand_pts, ahead = _residuals(camera, cand_rot, cand_t, ref, img)
-        cand_cost = float(cand_r @ cand_r) if ahead else math.inf
+        cand_cost = float((cand_r * cand_r).sum()) if ahead else math.inf
+        converged = math.sqrt((step * step).sum()) < _STEP_TOLERANCE
         if cand_cost < cost:
-            rel_decrease = (cost - cand_cost) / max(cost, 1e-300)
+            converged |= (cost - cand_cost) / max(cost, 1e-300) < _COST_TOLERANCE
             rotation, translation, r, pts, cost = cand_rot, cand_t, cand_r, cand_pts, cand_cost
             trace.append(cost)
             h = None
             lam *= _DAMPING_DOWN
-            if rel_decrease < _COST_TOLERANCE or math.sqrt(step @ step) < _STEP_TOLERANCE:
-                converged = True
-                break
         else:
             lam *= _DAMPING_UP
-            if math.sqrt(step @ step) < _STEP_TOLERANCE:
-                converged = True
-                break
+        if converged:
+            break
 
     return _estimate(_orthonormalize(rotation), translation, cost, ref.shape[0],
                      iterations, converged, trace)
@@ -514,7 +513,7 @@ def refine_lm(camera: PinholeCamera, ref: np.ndarray, img: np.ndarray,
     costs are non-increasing; hitting ``_MAX_ITERATIONS`` returns the best
     pose so far with ``converged=False`` rather than raising. B > 1 runs the
     batched loop; B = 1 runs the per-frame loop, as does a batch whose damped
-    system turns singular.
+    system turns singular. Either loop gives a frame the identical estimate.
 
     Raises:
         NonPositiveDepth: an initial pose places points behind the camera.

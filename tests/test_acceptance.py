@@ -292,7 +292,7 @@ CRITERION_8_DIGESTS = {
         "sweep.csv": "0788f6fe56642547910b71201de67c0ed92268c47bc74d68bfdb49793eec8e63",
         "frames.jsonl": "914b5ac9e0ee72a3580759fc83f19e31d9ca8f9f2805a2e7b598d653670de6d8",
         "manifest.json": "89104224eb61bcefca2b248e48c3bcb499530b0dfc15b80fc3c02f8224d1d183",
-        "poses.jsonl": "41d6126ee7a870e0d9736556eadb52f42edf34f59e862ecd1f011f8ce11cd72c",
+        "poses.jsonl": "dcaecb558e76597178da42369085bdf1ead9d6ee91a22668c1e1c13fd4e096b4",
         "episode.json": "afd32fdcc083769c31613b2c26aae9c2fb1e07a7bbbf022c19ca4b1d197ebb48",
     },
     "calibrate": {

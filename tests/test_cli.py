@@ -266,6 +266,37 @@ def test_extreme_split_names_the_starved_side(tmp_path, capsys, pipeline_dir, ar
     assert err.startswith(f"error: {expected}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["sensitivity", "--calib", "{calib}", "--out", "{out}"],
+     "{calib}: bad calibration report: rmse must be non-negative"),
+    (["monitor", "--object", "chip", "--debounce", "0", "--poses", "{poses}", "--out", "{out}"],
+     "total_frames and debounce_frames must be >= 1"),
+    (["monitor", "--threshold", "0.1", "--frames", "0", "--poses", "{poses}", "--out", "{out}"],
+     "total_frames and debounce_frames must be >= 1"),
+    (["monitor", "--object", "chip", "--start-joints", "0,0", "--target-joints", "1",
+      "--poses", "{poses}", "--out", "{out}"],
+     "start and target joints must have equal dimension"),
+    (["layout", "emit", "--tag-size", "0"], "tag_size must be positive and border non-negative"),
+    (["layout", "emit", "--border", "-0.5"],
+     "tag_size must be positive and border non-negative"),
+    (["simulate", "--span", "0", "--out", "{out}"], "span_fraction must be in (0, 1]"),
+    (["pipeline", "--span", "1.5", "--out", "{out}"],
+     "stage 'simulate': span_fraction must be in (0, 1]"),
+], ids=["negative_rmse", "debounce_0", "frames_0", "joint_dimensions", "tag_size_0",
+        "negative_border", "simulate_span_0", "pipeline_span_1.5"])
+def test_out_of_range_values_reach_their_guards(tmp_path, capsys, pipeline_dir, argv, expected):
+    # Each input passes the argument parser and fails one value check of the
+    # library, which the command reports as a one-line validation error.
+    report = read_json(pipeline_dir / "calib.json")
+    report["models"][0]["rmse_test"] = -1.0
+    paths = {"calib": tmp_path / "calib.json", "poses": pipeline_dir / "poses.jsonl",
+             "out": tmp_path / "out"}
+    paths["calib"].write_text(json.dumps(report))
+    rc = main([a.format(**paths) for a in argv] + ["--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {expected.format(**paths)}\n"
+
+
 def test_failed_pipeline_keeps_the_rows_written_and_no_manifest(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["pipeline", "--samples-per-axis", "10", "--split", "1e-9",
@@ -278,9 +309,9 @@ def test_failed_pipeline_keeps_the_rows_written_and_no_manifest(tmp_path, capsys
 
 
 def test_pipeline_poses_equal_estimate_of_its_frames(tmp_path):
-    # 65 frames per axis: a chunk restarted at each sweep would end every
-    # sweep with a chunk of one frame, which LM solves with its per-frame
-    # loop; chunks counted over the run are estimate's own.
+    # A frame's estimate does not depend on the frames it is solved with, so
+    # this holds for any chunking; 65 frames per axis leaves a sweep's last
+    # frame alone in a chunk if chunks restart at each sweep.
     out = tmp_path / "pipe"
     assert main(["pipeline", "--seed", "7", "--samples-per-axis", "65",
                  "--out", str(out), "--quiet"]) == 0

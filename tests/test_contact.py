@@ -274,6 +274,25 @@ def test_mean_reference_pose_averages_translation():
     assert mean.translation[2] == pytest.approx(0.2, abs=1e-12)
 
 
+def test_mean_reference_pose_needs_a_pose():
+    with pytest.raises(ValidationFailure, match="^need at least one pose to build a reference$"):
+        mean_reference_pose([])
+
+
+def test_trajectory_needs_a_frame():
+    with pytest.raises(ValidationFailure, match="^total_frames must be >= 1$"):
+        ApproachTrajectory((0.0,), (1.0,), 0)
+
+
+def test_reference_window_of_skipped_frames_rejected():
+    config = ContactConfig(threshold_mm=0.5, total_frames=10)
+    traj = ApproachTrajectory((0.0,), (1.0,), 10)
+    stream = [None] * 5 + [pose_at(0.0)] * 10
+    with pytest.raises(ValidationFailure,
+                       match="^no usable poses in the reference-capture window$"):
+        run_episode(traj, config, iter(stream), reference_frames=5)
+
+
 def test_trajectory_config_frame_mismatch_rejected():
     config = ContactConfig(threshold_mm=0.05, total_frames=10)
     traj = ApproachTrajectory((0.0,), (1.0,), 12)

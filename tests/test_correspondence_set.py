@@ -120,6 +120,13 @@ def test_integer_valued_floats_convert():
     assert corrs.tag_ids.tolist() == [3, 3] and corrs.corner_idx.tolist() == [0, 1]
 
 
+def test_a_set_equals_no_other_type():
+    corrs = CorrespondenceSet(tag_ids=[3, 3], corner_idx=[0, 1], ref=np.zeros((2, 3)),
+                              img=np.zeros((2, 2)))
+    assert corrs.__eq__(dataclasses.asdict(corrs)) is NotImplemented
+    assert corrs != dataclasses.asdict(corrs)
+
+
 def oracle_line(frame, corrs):
     """A frames.jsonl line as a dict row encoded by json, the writer's reference."""
     row = {

@@ -238,3 +238,9 @@ def test_normal_matrix_rejects_non_unit():
 def test_normal_matrix_type_validates_trace():
     with pytest.raises(ValidationFailure):
         NormalMatrix6(0.5, 0, 0, 0.2, 0, 0.2)
+
+
+def test_normal_matrix_type_validates_idempotence():
+    # Trace 1, but diag(0.5, 0.5, 0) is not a projection.
+    with pytest.raises(ValidationFailure, match="^normal matrix must be idempotent within 1e-9$"):
+        NormalMatrix6(0.5, 0, 0, 0.5, 0, 0)

@@ -400,9 +400,9 @@ def test_gradient_stop_matches_the_solve_without_it(camera, layout, seed, sigma,
 def test_chunk_row_leaving_on_the_gradient_counts_as_per_frame(camera, layout, reference_pose,
                                                                monkeypatch):
     # With the cost and step tests switched off only the gradient test can
-    # converge: a row of the batched loop that leaves on it reports the
-    # iterations of the per-frame loop, and a frame whose initial pose
-    # already passes it reports 0, since the test is not an iteration.
+    # converge: a row of the batched loop that leaves on it is the estimate
+    # of the per-frame loop, and a frame whose initial pose already passes it
+    # reports 0 iterations, since the test is not an iteration.
     monkeypatch.setattr(pnp, "_COST_TOLERANCE", 0.0)
     monkeypatch.setattr(pnp, "_STEP_TOLERANCE", 0.0)
     rng = np.random.default_rng(14)
@@ -414,10 +414,8 @@ def test_chunk_row_leaving_on_the_gradient_counts_as_per_frame(camera, layout, r
     translation = np.concatenate([translation, reference_pose.translation[None]])
     batched = pnp._refine_chunk(camera, *stacked(frames), rotation, translation)
     for corrs, rot, t, est in zip(frames, rotation, translation, batched):
-        ref = pnp._refine_frame(camera, corrs.ref, corrs.img, rot, t)
-        assert est.converged and ref.converged
-        assert est.iterations_used == ref.iterations_used
-        assert len(est.cost_trace) == len(ref.cost_trace)
+        assert est.converged
+        assert same_estimate(est, pnp._refine_frame(camera, corrs.ref, corrs.img, rot, t))
     assert batched[-1].iterations_used == 0
     assert min(est.iterations_used for est in batched[:3]) > 0
 
@@ -445,6 +443,40 @@ def test_singular_batch_falls_back_to_frame_by_frame(camera, layout, monkeypatch
         assert np.array_equal(got.pose.rotation, want.pose.rotation)
         assert np.array_equal(got.pose.translation, want.pose.translation)
         assert got.cost_trace == want.cost_trace
+
+
+def test_singular_frame_solve_raises_the_damping(camera, layout, monkeypatch):
+    # A singular damped system in the per-frame loop costs one iteration and
+    # one damping increase: the solve goes on as if the damping had started
+    # one step higher.
+    rng = np.random.default_rng(15)
+    ref, img = stacked([jitter(project_layout(camera, layout, random_pose(rng)), 0.25, rng)])
+    init = epnp_initialize(camera, ref, img)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pnp, "_INITIAL_DAMPING", pnp._INITIAL_DAMPING * pnp._DAMPING_UP)
+        [expected] = refine_lm(camera, ref, img, *init)
+    solve, raised = np.linalg.solve, []
+
+    def singular_once(a, b):
+        if a.ndim == 2 and not raised:
+            raised.append(a)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    [got] = refine_lm(camera, ref, img, *init)
+    assert raised and got.converged
+    assert got.iterations_used == expected.iterations_used + 1
+    assert same_estimate(replace(got, iterations_used=expected.iterations_used), expected)
+
+
+@pytest.mark.parametrize("b", [1, 2], ids=["per_frame", "batched"])
+def test_initial_pose_behind_the_camera_raises(camera, layout, reference_pose, b):
+    frame = project_layout(camera, layout, reference_pose)
+    behind = RigidTransform(np.eye(3), np.array([0.0, 0.0, -10.0]))
+    with pytest.raises(NonPositiveDepth,
+                       match="^initial pose places points behind the camera$"):
+        refine_lm(camera, *stacked([frame] * b, [behind] * b))
 
 
 # ------------------------------------------------------------ estimate_pose
@@ -549,10 +581,13 @@ def test_estimate_pose_deterministic(camera, layout, reference_pose):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 1.0),
-       occlusion=st.floats(0.0, 0.5), count=st.integers(1, 150))
-def test_batched_estimates_match_frame_by_frame(camera, layout, seed, sigma, occlusion, count):
-    # Ragged corner counts and more than one chunk: every frame matches the
-    # per-frame solver, and results come back in input order.
+       occlusion=st.floats(0.0, 0.5), count=st.integers(1, 150), cut=st.integers(0, 150))
+def test_batched_estimates_match_frame_by_frame(camera, layout, seed, sigma, occlusion, count,
+                                                cut):
+    # Ragged corner counts and more than one chunk: a frame's estimate is a
+    # function of that frame alone, bit for bit in every field, whether it is
+    # solved alone, in one batch or in either half of a split, and results
+    # come back in input order.
     rng = np.random.default_rng(seed)
     frames = []
     for _ in range(count):
@@ -563,11 +598,11 @@ def test_batched_estimates_match_frame_by_frame(camera, layout, seed, sigma, occ
         frames.append(jitter(corrs, sigma, rng))
     batched = estimate_poses(camera, frames)
     assert len(batched) == count
-    for corrs, est in zip(frames, batched):
-        ref = estimate_pose(camera, corrs)
-        assert est.converged == ref.converged
-        assert np.max(np.abs(est.pose.translation - ref.pose.translation)) <= 1e-8
-        assert np.max(np.abs(est.pose.rotation - ref.pose.rotation)) <= 1e-8
+    cut %= count + 1
+    halves = estimate_poses(camera, frames[:cut]) + estimate_poses(camera, frames[cut:])
+    for corrs, est, half in zip(frames, batched, halves, strict=True):
+        assert same_estimate(est, estimate_pose(camera, corrs))
+        assert same_estimate(est, half)
         assert np.all(np.diff(est.cost_trace) <= 0)
 
 

@@ -103,10 +103,22 @@ def test_compliance_validation():
         ComplianceModel(compliance=asym, deformation_limit=np.ones(6))
     with pytest.raises(ValidationFailure):
         ComplianceModel(compliance=-np.eye(6), deformation_limit=np.ones(6))
+    with pytest.raises(ValidationFailure,
+                       match="^deformation_limit must be 6 positive components$"):
+        ComplianceModel(compliance=np.eye(6), deformation_limit=[1, 1, 1, 1, 1, 0])
     # A NaN limit would switch its component's limit check off: |d| > nan is False.
     for bad in (np.nan, np.inf):
         with pytest.raises(ValidationFailure, match="deformation_limit must be finite"):
             ComplianceModel(compliance=np.eye(6), deformation_limit=np.r_[np.ones(5), bad])
+
+
+def test_sweep_dataset_rejects_a_bad_axis_and_a_non_finite_magnitude(camera, layout,
+                                                                     reference_pose, compliance):
+    scene = (camera, layout, reference_pose, compliance, NoiseModel())
+    with pytest.raises(ValidationFailure, match=r"^axis must be 0\.\.5, got 6$"):
+        sweep_dataset(6, [0.0], *scene)
+    with pytest.raises(ValidationFailure, match="^wrench components must be finite$"):
+        sweep_dataset(0, [np.nan], *scene)
 
 
 def test_from_array_names_the_shape():
